@@ -190,9 +190,9 @@ void AggRouterCore::MaybeRebalance(Context& ctx) {
   since_check_ = 0;
   const uint32_t workers = config_.num_workers;
   if (workers <= 1) return;
-  std::vector<uint64_t> load(workers, 0);
+  std::vector<uint64_t> worker_load(workers, 0);
   for (uint32_t p = 0; p < config_.partitions; ++p) {
-    load[assign_[p]] += part_loads_[p];
+    worker_load[assign_[p]] += part_loads_[p];
   }
   const double ceiling = (static_cast<double>(total_routed_) / workers) *
                          (1.0 + config_.epsilon);
@@ -205,24 +205,24 @@ void AggRouterCore::MaybeRebalance(Context& ctx) {
   for (uint32_t iter = 0; iter < config_.partitions; ++iter) {
     uint32_t heavy = 0, light = 0;
     for (uint32_t w = 1; w < workers; ++w) {
-      if (load[w] > load[heavy]) heavy = w;
-      if (load[w] < load[light]) light = w;
+      if (worker_load[w] > worker_load[heavy]) heavy = w;
+      if (worker_load[w] < worker_load[light]) light = w;
     }
-    if (static_cast<double>(load[heavy]) <= ceiling) break;
+    if (static_cast<double>(worker_load[heavy]) <= ceiling) break;
     int best = -1;
     uint64_t best_load = 0;
     for (uint32_t p = 0; p < config_.partitions; ++p) {
       if (next[p] != heavy) continue;
       const uint64_t pl = part_loads_[p];
-      if (pl > best_load && load[light] + pl < load[heavy]) {
+      if (pl > best_load && worker_load[light] + pl < worker_load[heavy]) {
         best = static_cast<int>(p);
         best_load = pl;
       }
     }
     if (best < 0) break;  // heavy worker is one indivisible hot partition
     next[static_cast<size_t>(best)] = light;
-    load[heavy] -= best_load;
-    load[light] += best_load;
+    worker_load[heavy] -= best_load;
+    worker_load[light] += best_load;
     moved = true;
   }
   if (!moved) return;

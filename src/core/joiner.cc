@@ -143,44 +143,53 @@ bool JoinerCore::EntryInScope(const StoredEntry& entry, Rel entry_rel,
       // Steady state. Early-arriving migrated tuples (origin MIG before our
       // first signal) must be excluded: their pairs with old-epoch tuples are
       // produced at the machines owning them under the old mapping.
-      return entry.origin == kOriginData;
+      return entry.origin() == kOriginData;
     case Scope::kOldData:
-      return entry.origin == kOriginData && entry.epoch <= old_epoch_;
+      return entry.origin() == kOriginData && entry.epoch() <= old_epoch_;
     case Scope::kNewOwned:
       return plan_->Keeps(config_.machine_index, entry_rel, entry.tag);
     case Scope::kDeltaPrime:
-      return entry.epoch == new_epoch_ && entry.origin == kOriginData;
+      return entry.epoch() == new_epoch_ && entry.origin() == kOriginData;
   }
   return false;
 }
 
-void JoinerCore::MatchAndEmit(const Envelope& msg, const StoredEntry& entry,
-                              Scope scope, Context& ctx) {
-  metrics_.probe_candidates++;
-  if (!EntryInScope(entry, Opposite(msg.rel), scope)) return;
-  bool match;
-  if (msg.has_row && entry.has_row) {
-    match = (msg.rel == Rel::kR) ? config_.spec.Matches(msg.row, entry.row)
-                                 : config_.spec.Matches(entry.row, msg.row);
-  } else {
-    // Slim mode: index candidates already satisfy the key predicate for
-    // equi/band; theta requires rows.
-    AJOIN_CHECK_MSG(config_.spec.kind != JoinSpec::Kind::kTheta,
-                    "theta joins require materialized rows");
-    match = true;
+bool JoinerCore::RowsMatch(const Envelope& msg, const Row* stored_row) const {
+  if (msg.has_row && stored_row != nullptr) {
+    return msg.rel == Rel::kR ? config_.spec.Matches(msg.row, *stored_row)
+                              : config_.spec.Matches(*stored_row, msg.row);
   }
-  if (match) Emit(msg, entry, msg.rel, ctx);
+  // Slim mode: index candidates already satisfy the key predicate for
+  // equi/band; theta requires rows.
+  AJOIN_CHECK_MSG(config_.spec.kind != JoinSpec::Kind::kTheta,
+                  "theta joins require materialized rows");
+  return true;
+}
+
+void JoinerCore::MatchAndEmit(const Envelope& msg, uint64_t id, Scope scope,
+                              Context& ctx) {
+  metrics_.probe_candidates++;
+  const Rel opp = Opposite(msg.rel);
+  const auto opp_i = static_cast<size_t>(opp);
+  const StoredEntry& entry = entries_[opp_i][id];
+  if (!EntryInScope(entry, opp, scope)) return;
+  const Row* row = StoredRow(opp_i, id);
+  if (RowsMatch(msg, row)) Emit(msg, entry, row, ctx);
 }
 
 void JoinerCore::Probe(const Envelope& msg, Scope scope, Context& ctx) {
   const auto opp_i = static_cast<size_t>(Opposite(msg.rel));
   int64_t lo = 0, hi = 0;
   config_.spec.ProbeRange(msg.rel, msg.key, &lo, &hi);
-  const auto& entries = entries_[opp_i];
-  index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
-    MatchAndEmit(msg, entries[id], scope, ctx);
-  });
+  index_[opp_i].ForEachCandidate(
+      lo, hi, [&](uint64_t id) { MatchAndEmit(msg, id, scope, ctx); });
 }
+
+// Candidates in flight between the index's emission of an id (which
+// prefetches its stored entry) and its MatchAndEmit: deep enough to overlap
+// several entry misses, short enough that the prefetched lines are still
+// in L1 when matched. A power of two so the ring index is a mask.
+static constexpr size_t kCandidateWindow = 8;
 
 void JoinerCore::ProbeRunBatch(const TupleBatch& batch, size_t begin,
                                size_t end, Context& ctx) {
@@ -188,8 +197,7 @@ void JoinerCore::ProbeRunBatch(const TupleBatch& batch, size_t begin,
   // batched so the flat index can pipeline prefetches across the run;
   // candidates go through the same MatchAndEmit body as scalar Probe().
   // Under shedding the run is first Bernoulli-filtered (probe_idx_ maps the
-  // filtered position back to the batch item); the exact path keeps its
-  // straight-line begin+pi addressing.
+  // filtered position back to the batch item).
   const Rel rel = batch.items[begin].rel;
   const auto opp_i = static_cast<size_t>(Opposite(rel));
   const bool shed = shedding();
@@ -209,35 +217,49 @@ void JoinerCore::ProbeRunBatch(const TupleBatch& batch, size_t begin,
     probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
     if (shed) probe_idx_.push_back(k);
   }
-  const auto& entries = entries_[opp_i];
-  if (shed) {
-    emit_weight_ = shed_weight_;
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[probe_idx_[pi]], entries[id], Scope::kAll,
-                       ctx);
-        });
-    emit_weight_ = 1.0;
-  } else {
-    index_[opp_i].ProbeRun(
-        probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
-          MatchAndEmit(batch.items[begin + pi], entries[id], Scope::kAll, ctx);
-        });
+  // Look-ahead window: every candidate prefetches its entry (and row slot)
+  // on arrival and is matched kCandidateWindow candidates later, so the
+  // emission order is the index's, unchanged.
+  struct Candidate {
+    size_t item;  // batch item of the probing tuple
+    uint64_t id;  // stored entry id
+  };
+  Candidate window[kCandidateWindow] = {};
+  size_t arrived = 0;
+  const StoredEntry* entries = entries_[opp_i].data();
+  const Row* rows = rows_[opp_i].empty() ? nullptr : rows_[opp_i].data();
+  const auto match = [&](const Candidate& c) {
+    MatchAndEmit(batch.items[c.item], c.id, Scope::kAll, ctx);
+  };
+  emit_weight_ = shed_weight_;  // 1.0 unless shedding
+  index_[opp_i].ProbeRun(
+      probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
+        __builtin_prefetch(entries + id);
+        if (rows != nullptr) __builtin_prefetch(rows + id);
+        Candidate& slot = window[arrived++ & (kCandidateWindow - 1)];
+        if (arrived > kCandidateWindow) match(slot);
+        slot = Candidate{shed ? probe_idx_[pi] : begin + pi, id};
+      });
+  const size_t first = arrived > kCandidateWindow ? arrived - kCandidateWindow
+                                                  : 0;
+  for (size_t c = first; c < arrived; ++c) {
+    match(window[c & (kCandidateWindow - 1)]);
   }
+  emit_weight_ = 1.0;
 }
 
 void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
-                      Rel msg_rel, Context& ctx) {
+                      const Row* matched_row, Context& ctx) {
   ++output_count_;
   metrics_.output_tuples++;
   if (config_.collect_pairs) {
-    if (msg_rel == Rel::kR) {
+    if (msg.rel == Rel::kR) {
       pairs_.emplace_back(msg.seq, matched.seq);
     } else {
       pairs_.emplace_back(matched.seq, msg.seq);
     }
   }
-  if (config_.result_sink >= 0) StageResult(msg, matched, msg_rel, ctx);
+  if (config_.result_sink >= 0) StageResult(msg, matched, matched_row, ctx);
   if (config_.latency_every != 0 && msg.ingest_us != 0 &&
       output_count_ % config_.latency_every == 0) {
     uint64_t now = ctx.NowMicros();
@@ -253,12 +275,19 @@ void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
 static constexpr size_t kEgressRunMax = 128;
 
 void JoinerCore::StageResult(const Envelope& msg, const StoredEntry& matched,
-                             Rel msg_rel, Context& ctx) {
+                             const Row* matched_row, Context& ctx) {
   // kResult field use is documented at the MsgType declaration: the pair's
   // identity travels as (seq, tag) = (r_seq, s_seq) and the payload as the
   // concatenated row, so a sink can reproduce CollectPairs() exactly and a
   // downstream stage sees the same row LocalJoin would materialize.
-  Envelope res;
+  // FlushEgress hands the run's vector to the exchange, so every run starts
+  // from zero capacity. A run that reaches a second result is sized for a
+  // full run once instead of regrowing; a one-result run (per-message
+  // dispatch during a migration, a sparse batch) stays one small
+  // allocation.
+  if (egress_.size() == 1) egress_.items.reserve(kEgressRunMax);
+  Envelope& res = egress_.items.emplace_back();
+  const Rel msg_rel = msg.rel;
   res.type = MsgType::kResult;
   res.rel = msg_rel;
   res.key = msg.key;
@@ -273,14 +302,13 @@ void JoinerCore::StageResult(const Envelope& msg, const StoredEntry& matched,
   res.group = config_.group;
   res.ingest_us = msg.ingest_us;
   res.weight = emit_weight_;  // 1.0 exact; 1/p under shed-mode probes
-  if (msg.has_row && matched.has_row) {
-    const Row& r_row = msg_rel == Rel::kR ? msg.row : matched.row;
-    const Row& s_row = msg_rel == Rel::kR ? matched.row : msg.row;
+  if (msg.has_row && matched_row != nullptr) {
+    const Row& r_row = msg_rel == Rel::kR ? msg.row : *matched_row;
+    const Row& s_row = msg_rel == Rel::kR ? *matched_row : msg.row;
     res.has_row = true;
     res.row.AppendAll(r_row);
     res.row.AppendAll(s_row);
   }
-  egress_.Add(std::move(res));
   if (egress_.size() >= kEgressRunMax) FlushEgress(ctx);
 }
 
@@ -289,24 +317,54 @@ void JoinerCore::FlushEgress(Context& ctx) {
   egress_.Clear();
 }
 
+uint32_t JoinerCore::EpochWord(uint32_t epoch, uint8_t origin,
+                               bool has_row) {
+  AJOIN_CHECK_MSG(epoch <= kEpochMask, "epoch overflows the stored entry");
+  return epoch | (static_cast<uint32_t>(has_row) << 30) |
+         (static_cast<uint32_t>(origin) << 31);
+}
+
+namespace {
+
+// Appends entry `id`'s slot to a relation's row side array (see
+// JoinerCore::rows_): the first row back-fills empty rows for the row-less
+// entries before it; after that every entry gets a slot.
+void AppendRowSlot(std::vector<Row>* rows, size_t id, const Row* row) {
+  if (row != nullptr) {
+    rows->resize(id);
+    rows->push_back(*row);
+  } else if (!rows->empty()) {
+    rows->emplace_back();
+  }
+}
+
+}  // namespace
+
 void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
   const auto rel_i = static_cast<size_t>(msg.rel);
-  StoredEntry entry;
+  const bool has_row = msg.has_row && config_.keep_rows;
+  auto& entries = entries_[rel_i];
+  AppendRowSlot(&rows_[rel_i], entries.size(), has_row ? &msg.row : nullptr);
+  StoredEntry& entry = entries.emplace_back();
   entry.key = msg.key;
   entry.tag = msg.tag;
   entry.seq = msg.seq;
   entry.bytes = msg.bytes;
-  entry.epoch = epoch;
-  entry.origin = origin;
-  if (msg.has_row && config_.keep_rows) {
-    entry.has_row = true;
-    entry.row = msg.row;
-  }
-  int64_t index_key =
-      (config_.spec.kind == JoinSpec::Kind::kTheta) ? 0 : msg.key;
-  entries_[rel_i].push_back(std::move(entry));
-  index_[rel_i].Add(index_key, entries_[rel_i].size() - 1);
+  entry.epoch_word = EpochWord(epoch, origin, has_row);
+  index_[rel_i].Add(IndexKey(msg.key), entries.size() - 1);
   metrics_.NoteStored(msg.bytes);
+}
+
+void JoinerCore::RebuildIndex(size_t rel_i) {
+  const auto& entries = entries_[rel_i];
+  auto& index = index_[rel_i];
+  index.Clear();
+  // The rebuilt state's size is known here: pre-size the index so the
+  // rebuild does not rehash/grow mid-migration.
+  index.Reserve(entries.size());
+  for (uint64_t id = 0; id < entries.size(); ++id) {
+    index.Add(IndexKey(entries[id].key), id);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,16 +433,9 @@ void JoinerCore::HandleMigrate(Envelope& msg, Context& ctx) {
   index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
     const StoredEntry& entry = entries[id];
     metrics_.probe_candidates++;
-    if (entry.epoch != pending || entry.origin != kOriginData) return;
-    bool match;
-    if (msg.has_row && entry.has_row) {
-      match = (msg.rel == Rel::kR) ? config_.spec.Matches(msg.row, entry.row)
-                                   : config_.spec.Matches(entry.row, msg.row);
-    } else {
-      AJOIN_CHECK(config_.spec.kind != JoinSpec::Kind::kTheta);
-      match = true;
-    }
-    if (match) Emit(msg, entry, msg.rel, ctx);
+    if (entry.epoch() != pending || entry.origin() != kOriginData) return;
+    const Row* row = StoredRow(opp_i, id);
+    if (RowsMatch(msg, row)) Emit(msg, entry, row, ctx);
   });
   Store(msg, kOriginMig, msg.epoch);
 }
@@ -473,8 +524,10 @@ void JoinerCore::SendOldStateForMigration(Context& ctx) {
     Rel rel = static_cast<Rel>(rel_i);
     uint32_t parts =
         rel == Rel::kR ? to_layout_.mapping().n : to_layout_.mapping().m;
-    for (const StoredEntry& entry : entries_[static_cast<size_t>(rel_i)]) {
-      if (entry.origin != kOriginData) continue;  // early µ is not our state
+    const auto& entries = entries_[static_cast<size_t>(rel_i)];
+    for (size_t id = 0; id < entries.size(); ++id) {
+      const StoredEntry& entry = entries[id];
+      if (entry.origin() != kOriginData) continue;  // early µ is not our state
       uint32_t part = PartitionOf(entry.tag, parts);
       for (const SendDirective& d : directives) {
         if (d.rel != rel || d.part != part) continue;
@@ -487,9 +540,9 @@ void JoinerCore::SendOldStateForMigration(Context& ctx) {
         mig.bytes = entry.bytes;
         mig.epoch = old_epoch_;
         mig.group = config_.group;
-        if (entry.has_row) {
+        if (entry.has_row()) {
           mig.has_row = true;
-          mig.row = entry.row;
+          mig.row = rows_[static_cast<size_t>(rel_i)][id];
         }
         metrics_.mig_out_tuples++;
         metrics_.mig_out_bytes += entry.bytes;
@@ -535,34 +588,31 @@ void JoinerCore::MaybeFinalize(Context& ctx) {
 void JoinerCore::FinalizeMigration(Context& ctx) {
   // tau <- Keep(tau ∪ Δ) ∪ µ ∪ Δ' (Alg. 3 line 29): physically drop Discard
   // entries, reset labels, rebuild indexes.
-  for (int rel_i = 0; rel_i < 2; ++rel_i) {
-    Rel rel = static_cast<Rel>(rel_i);
-    auto& entries = entries_[static_cast<size_t>(rel_i)];
-    std::vector<StoredEntry> kept;
-    kept.reserve(entries.size());
+  for (size_t rel_i = 0; rel_i < 2; ++rel_i) {
+    const Rel rel = static_cast<Rel>(rel_i);
+    auto& entries = entries_[rel_i];
+    auto& rows = rows_[rel_i];
+    size_t kept = 0;
     uint64_t dropped = 0, dropped_bytes = 0;
-    for (StoredEntry& entry : entries) {
+    for (size_t id = 0; id < entries.size(); ++id) {
+      StoredEntry entry = entries[id];
       if (config_.machine_index < to_layout_.J() &&
           to_layout_.Owns(config_.machine_index, rel, entry.tag)) {
-        entry.origin = kOriginData;
-        kept.push_back(std::move(entry));
+        entry.epoch_word =
+            EpochWord(entry.epoch(), kOriginData, entry.has_row());
+        entries[kept] = entry;
+        // (A self-move would empty the row.)
+        if (!rows.empty() && kept != id) rows[kept] = std::move(rows[id]);
+        ++kept;
       } else {
         ++dropped;
         dropped_bytes += entry.bytes;
       }
     }
-    entries = std::move(kept);
+    entries.resize(kept);
+    if (!rows.empty()) rows.resize(kept);
     metrics_.NoteDropped(dropped, dropped_bytes);
-    auto& index = index_[static_cast<size_t>(rel_i)];
-    index.Clear();
-    // The absorbed partition's size is known here: pre-size the index so
-    // the rebuild does not rehash/grow mid-migration.
-    index.Reserve(entries.size());
-    for (uint64_t id = 0; id < entries.size(); ++id) {
-      int64_t index_key =
-          (config_.spec.kind == JoinSpec::Kind::kTheta) ? 0 : entries[id].key;
-      index.Add(index_key, id);
-    }
+    RebuildIndex(rel_i);
   }
   const bool was_participating = participating();
   layout_ = to_layout_;
@@ -692,15 +742,17 @@ Status JoinerCore::SnapshotState(std::vector<uint8_t>* out) const {
   PutRaw(epoch_, out);
   for (int rel_i = 0; rel_i < 2; ++rel_i) {
     const auto& entries = entries_[static_cast<size_t>(rel_i)];
+    const auto& rows = rows_[static_cast<size_t>(rel_i)];
     PutRaw<uint64_t>(entries.size(), out);
-    for (const StoredEntry& entry : entries) {
+    for (size_t id = 0; id < entries.size(); ++id) {
+      const StoredEntry& entry = entries[id];
       PutRaw(entry.key, out);
       PutRaw(entry.tag, out);
       PutRaw(entry.seq, out);
       PutRaw(entry.bytes, out);
-      PutRaw(entry.epoch, out);
-      PutRaw<uint8_t>(entry.has_row ? 1 : 0, out);
-      if (entry.has_row) SerializeRow(entry.row, out);
+      PutRaw(entry.epoch(), out);
+      PutRaw<uint8_t>(entry.has_row() ? 1 : 0, out);
+      if (entry.has_row()) SerializeRow(rows[id], out);
     }
   }
   return Status::OK();
@@ -723,7 +775,11 @@ Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
   if (!GetRaw(buf, &offset, &epoch)) {
     return Status::InvalidArgument("truncated snapshot header");
   }
+  // The recovered operator restarts its epoch numbering at 0 (reshufflers
+  // and controller are fresh), so entry epochs are normalized on the way in.
+  (void)epoch;
   std::vector<StoredEntry> restored[2];
+  std::vector<Row> restored_rows[2];
   for (int rel_i = 0; rel_i < 2; ++rel_i) {
     uint64_t count;
     if (!GetRaw(buf, &offset, &count)) {
@@ -732,43 +788,37 @@ Status JoinerCore::RestoreState(const std::vector<uint8_t>& buf) {
     restored[rel_i].reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       StoredEntry entry;
+      uint32_t entry_epoch = 0;  // read past: restored entries restart at 0
       uint8_t has_row;
       if (!GetRaw(buf, &offset, &entry.key) ||
           !GetRaw(buf, &offset, &entry.tag) ||
           !GetRaw(buf, &offset, &entry.seq) ||
           !GetRaw(buf, &offset, &entry.bytes) ||
-          !GetRaw(buf, &offset, &entry.epoch) ||
+          !GetRaw(buf, &offset, &entry_epoch) ||
           !GetRaw(buf, &offset, &has_row)) {
         return Status::InvalidArgument("truncated snapshot entry");
       }
+      entry.epoch_word = EpochWord(0, kOriginData, has_row != 0);
+      Row row;
       if (has_row != 0) {
-        auto row = DeserializeRow(buf, &offset);
-        if (!row.ok()) return row.status();
-        entry.has_row = true;
-        entry.row = row.take();
+        auto parsed = DeserializeRow(buf, &offset);
+        if (!parsed.ok()) return parsed.status();
+        row = parsed.take();
       }
-      restored[rel_i].push_back(std::move(entry));
+      AppendRowSlot(&restored_rows[rel_i], restored[rel_i].size(),
+                    has_row != 0 ? &row : nullptr);
+      restored[rel_i].push_back(entry);
     }
   }
-  // Commit: replace state, rebuild indexes, reset storage accounting. The
-  // recovered operator restarts its epoch numbering at 0 (reshufflers and
-  // controller are fresh), so entry epochs are normalized.
-  (void)epoch;
+  // Commit: replace state, rebuild indexes, reset storage accounting.
   metrics_.stored_tuples = 0;
   metrics_.stored_bytes = 0;
-  for (int rel_i = 0; rel_i < 2; ++rel_i) {
-    auto& entries = entries_[static_cast<size_t>(rel_i)];
-    entries = std::move(restored[rel_i]);
-    auto& index = index_[static_cast<size_t>(rel_i)];
-    index.Clear();
-    index.Reserve(entries.size());
-    for (uint64_t id = 0; id < entries.size(); ++id) {
-      entries[id].epoch = 0;
-      entries[id].origin = kOriginData;
-      int64_t key =
-          (config_.spec.kind == JoinSpec::Kind::kTheta) ? 0 : entries[id].key;
-      index.Add(key, id);
-      metrics_.NoteStored(entries[id].bytes);
+  for (size_t rel_i = 0; rel_i < 2; ++rel_i) {
+    entries_[rel_i] = std::move(restored[rel_i]);
+    rows_[rel_i] = std::move(restored_rows[rel_i]);
+    RebuildIndex(rel_i);
+    for (const StoredEntry& entry : entries_[rel_i]) {
+      metrics_.NoteStored(entry.bytes);
     }
   }
   epoch_ = 0;

@@ -71,10 +71,12 @@ class JoinerCore : public Task {
   /// steady-state kData batch the epoch admission check hoists to once per
   /// batch, and the batch splits into maximal same-relation runs processed
   /// as a probe pass — batched through JoinIndex::ProbeRun for equi-joins,
-  /// so the flat index prefetch-pipelines the run — followed by grouped
-  /// index inserts (tuples of one relation never match each other, so
-  /// deferring a run's stores behind its probes is output-equivalent to the
-  /// per-envelope interleaving and keeps each index's insert path hot).
+  /// so the flat index prefetch-pipelines the run, and each candidate's
+  /// stored entry is prefetched a fixed number of candidates before it is
+  /// matched — followed by grouped index inserts (tuples of one relation
+  /// never match each other, so deferring a run's stores behind its probes
+  /// is output-equivalent to the per-envelope interleaving and keeps each
+  /// index's insert path hot).
   /// Anything else — control singletons, µ
   /// batches, or any batch consumed while a migration is active (Δ/Δ'
   /// scoping and migration bookkeeping stay per-envelope) — falls back to
@@ -129,17 +131,25 @@ class JoinerCore : public Task {
  private:
   static constexpr uint8_t kOriginData = 0;
   static constexpr uint8_t kOriginMig = 1;
+  static constexpr uint32_t kEpochMask = (1u << 30) - 1;
 
-  struct StoredEntry {
+  // One stored tuple, 32 bytes and 32-aligned so a probe candidate costs
+  // one cache line and two entries share it. The row payload lives in
+  // rows_ under the same id; origin and has_row ride in the top two bits
+  // of the epoch word (EpochWord checks the epoch fits below them).
+  struct alignas(32) StoredEntry {
     int64_t key = 0;
     uint64_t tag = 0;
     uint64_t seq = 0;
     uint32_t bytes = 0;
-    uint32_t epoch = 0;
-    uint8_t origin = kOriginData;
-    bool has_row = false;
-    Row row;
+    uint32_t epoch_word = 0;  // epoch | has_row << 30 | origin << 31
+
+    uint32_t epoch() const { return epoch_word & kEpochMask; }
+    uint8_t origin() const { return static_cast<uint8_t>(epoch_word >> 31); }
+    bool has_row() const { return ((epoch_word >> 30) & 1u) != 0; }
   };
+  static_assert(sizeof(StoredEntry) == 32, "two stored entries per line");
+  static uint32_t EpochWord(uint32_t epoch, uint8_t origin, bool has_row);
 
   // Probe scopes (see header comment).
   enum class Scope {
@@ -173,19 +183,33 @@ class JoinerCore : public Task {
   void ProbeRunBatch(const TupleBatch& batch, size_t begin, size_t end,
                      Context& ctx);
   // Shared candidate-filter/match/emit body of the scalar and batched
-  // probe paths (single source of truth for the match rules).
-  void MatchAndEmit(const Envelope& msg, const StoredEntry& entry,
-                    Scope scope, Context& ctx);
-  void Emit(const Envelope& msg, const StoredEntry& matched, Rel msg_rel,
-            Context& ctx);
+  // probe paths (single source of truth for the match rules); `id` is the
+  // candidate's entry id in the opposite relation.
+  void MatchAndEmit(const Envelope& msg, uint64_t id, Scope scope,
+                    Context& ctx);
+  // Row-mode predicate check of msg against a stored candidate (true in
+  // slim mode, where index candidates already satisfy the key predicate).
+  bool RowsMatch(const Envelope& msg, const Row* stored_row) const;
+  // `matched_row` is the stored entry's row, nullptr when it has none.
+  void Emit(const Envelope& msg, const StoredEntry& matched,
+            const Row* matched_row, Context& ctx);
   // Egress plane: stages one kResult envelope (result_sink >= 0), and ships
   // the staged run as one Context::SendBatch when it fills or the current
   // dispatch ends (OnMessage/OnBatch epilogue) — results never outlive the
   // Context that produced them.
   void StageResult(const Envelope& msg, const StoredEntry& matched,
-                   Rel msg_rel, Context& ctx);
+                   const Row* matched_row, Context& ctx);
   void FlushEgress(Context& ctx);
   void Store(const Envelope& msg, uint8_t origin, uint32_t epoch);
+  // Clear + Reserve + Add rebuild of index_[rel_i] over entries_[rel_i]
+  // (FinalizeMigration, RestoreState).
+  void RebuildIndex(size_t rel_i);
+  int64_t IndexKey(int64_t key) const {
+    return config_.spec.kind == JoinSpec::Kind::kTheta ? 0 : key;
+  }
+  const Row* StoredRow(size_t rel_i, uint64_t id) const {
+    return entries_[rel_i][id].has_row() ? &rows_[rel_i][id] : nullptr;
+  }
   void SendMigrateTuple(const Envelope& src, uint32_t target_machine,
                         Context& ctx);
 
@@ -199,6 +223,10 @@ class JoinerCore : public Task {
 
   // State: entries + index per relation (index ids are entry positions).
   std::vector<StoredEntry> entries_[2];
+  // Row payloads by entry id: empty until the relation's first
+  // row-carrying entry (so slim mode never allocates), then one Row per
+  // entry, empty for row-less ones.
+  std::vector<Row> rows_[2];
   JoinIndex index_[2];
 
   // Migration state.

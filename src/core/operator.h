@@ -94,6 +94,11 @@ class IngressStager {
       return;
     }
     TupleBatch& run = staged_[static_cast<size_t>(dest - dest_base_)];
+    // A posted run leaves with its vector: once a run reaches a second
+    // envelope, size it for a full run instead of regrowing it from zero
+    // capacity (a one-envelope run, e.g. a flush of a sparse stream, stays
+    // one small allocation).
+    if (run.size() == 1) run.items.reserve(target_);
     run.Add(std::move(env));
     if (run.size() >= target_) {
       port.PostBatch(dest, std::move(run));

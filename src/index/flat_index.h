@@ -29,7 +29,7 @@
 // ProbeRun(keys, n, fn) is the batched entry point: a four-stage software
 // pipeline (hash -> prefetch ctrl group -> match tags + prefetch slot ->
 // resolve key + prefetch duplicate run -> emit) that keeps several probes'
-// cache misses in flight, which is where the chained index stalls.
+// cache misses in flight instead of stalling on one at a time.
 
 #pragma once
 
@@ -54,10 +54,10 @@ namespace ajoin {
 class FlatHashIndex {
  public:
   /// Builds an empty index sized lazily: no storage is allocated until the
-  /// first Insert/Reserve (a JoinIndex of another kind, or one configured
-  /// for the chained baseline, carries an unused FlatHashIndex — it must
-  /// cost nothing, in bytes and in MemoryBytes() ILF accounting). The
-  /// first allocation holds roughly `initial_slots` distinct keys.
+  /// first Insert/Reserve (a JoinIndex of the tree or scan kind carries an
+  /// unused FlatHashIndex — it must cost nothing, in bytes and in
+  /// MemoryBytes() ILF accounting). The first allocation holds roughly
+  /// `initial_slots` distinct keys.
   explicit FlatHashIndex(size_t initial_slots = 64)
       : initial_slots_(initial_slots) {}
 

@@ -14,13 +14,17 @@
 namespace ajoin {
 namespace {
 
+// gtest names each case with a byte dump of its parameter, so the struct has
+// no padding: every printed byte is a field, and the test names do not pick
+// up stack garbage from one build or run to the next.
 struct SweepParam {
-  uint32_t machines;
+  uint64_t machines;
   double epsilon;
   double skew_to_zero;
-  bool r_first;
+  uint64_t r_first;  // 0 or 1
   uint64_t seed;
 };
+static_assert(sizeof(SweepParam) == 5 * 8, "SweepParam must have no padding");
 
 class OperatorSweep : public ::testing::TestWithParam<SweepParam> {};
 

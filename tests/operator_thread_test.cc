@@ -177,11 +177,17 @@ TEST(OperatorThread, BandJoinExact) {
 TEST(OperatorThread, RowModeResidualPredicate) {
   // Materialized rows + a residual filter, under real concurrency and
   // migrations: the residual must be applied identically on every path
-  // (steady state, Δ, Δ', µ probes).
-  JoinSpec spec = MakeBandJoin(0, 0, -1, 1);
-  spec.residual = [](const Row& r, const Row& s) {
+  // (steady state, Δ, Δ', µ probes). The band join probes its B-tree
+  // candidates one tuple at a time; the equi join's steady-state batches go
+  // through the prefetching candidate window, which reads the stored rows
+  // from the joiner's row side array.
+  const auto residual = [](const Row& r, const Row& s) {
     return (r.Int64(1) + s.Int64(1)) % 3 == 0;
   };
+  JoinSpec band = MakeBandJoin(0, 0, -1, 1);
+  band.residual = residual;
+  JoinSpec equi = MakeEquiJoin(0, 0);
+  equi.residual = residual;
   Rng rng(77);
   std::vector<StreamTuple> stream;
   for (int i = 0; i < 1200; ++i) {
@@ -196,34 +202,41 @@ TEST(OperatorThread, RowModeResidualPredicate) {
     t.row = std::move(row);
     stream.push_back(std::move(t));
   }
-  // Reference with the residual applied.
-  std::vector<std::pair<uint64_t, uint64_t>> want;
-  for (uint64_t i = 0; i < stream.size(); ++i) {
-    if (stream[i].rel != Rel::kR) continue;
-    for (uint64_t j = 0; j < stream.size(); ++j) {
-      if (stream[j].rel != Rel::kS) continue;
-      if (spec.Matches(stream[i].row, stream[j].row)) want.emplace_back(i, j);
+  for (const JoinSpec& spec : {band, equi}) {
+    const char* kind = spec.kind == JoinSpec::Kind::kEqui ? "equi" : "band";
+    // Reference with the residual applied.
+    std::vector<std::pair<uint64_t, uint64_t>> want;
+    for (uint64_t i = 0; i < stream.size(); ++i) {
+      if (stream[i].rel != Rel::kR) continue;
+      for (uint64_t j = 0; j < stream.size(); ++j) {
+        if (stream[j].rel != Rel::kS) continue;
+        if (spec.Matches(stream[i].row, stream[j].row)) {
+          want.emplace_back(i, j);
+        }
+      }
     }
-  }
-  std::sort(want.begin(), want.end());
+    std::sort(want.begin(), want.end());
 
-  for (Plane plane : kAllPlanes) {
-    std::unique_ptr<ThreadEngine> engine = MakeEngine(plane);
-    OperatorConfig cfg;
-    cfg.spec = spec;
-    cfg.machines = 8;
-    cfg.adaptive = true;
-    cfg.epsilon = 0.5;
-    cfg.min_total_before_adapt = 16;
-    cfg.collect_pairs = true;
-    cfg.keep_rows = true;
-    JoinOperator op(*engine, cfg);
-    engine->Start();
-    for (const StreamTuple& t : stream) op.Push(t);
-    op.SendEos();
-    engine->WaitQuiescent();
-    EXPECT_EQ(op.CollectPairs(), want) << PlaneName(plane);
-    engine->Shutdown();
+    for (Plane plane : kAllPlanes) {
+      std::unique_ptr<ThreadEngine> engine = MakeEngine(plane);
+      OperatorConfig cfg;
+      cfg.spec = spec;
+      cfg.machines = 8;
+      cfg.adaptive = true;
+      cfg.epsilon = 0.5;
+      cfg.min_total_before_adapt = 16;
+      cfg.collect_pairs = true;
+      cfg.keep_rows = true;
+      JoinOperator op(*engine, cfg);
+      engine->Start();
+      for (const StreamTuple& t : stream) op.Push(t);
+      op.SendEos();
+      engine->WaitQuiescent();
+      EXPECT_EQ(op.CollectPairs(), want) << kind << " " << PlaneName(plane);
+      EXPECT_GE(op.controller()->log().size(), 1u)
+          << kind << " " << PlaneName(plane);
+      engine->Shutdown();
+    }
   }
 }
 

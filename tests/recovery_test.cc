@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/common/random.h"
@@ -74,28 +75,53 @@ TEST(JoinerSnapshot, RoundTrip) {
     env.seq = static_cast<uint64_t>(i);
     env.bytes = 16;
     env.store = true;
+    // Most tuples carry a row (key, seq); every fourth travels slim, so R's
+    // first entry is row-less and its later rows back-fill it.
+    if (i % 4 != 0) {
+      env.has_row = true;
+      env.row.Append(Value(env.key));
+      env.row.Append(Value(static_cast<int64_t>(i)));
+    }
     joiner.OnMessage(std::move(env), ctx);
   }
   std::vector<uint8_t> snapshot;
   ASSERT_TRUE(joiner.SnapshotState(&snapshot).ok());
+  uint16_t version = 0;
+  std::memcpy(&version, snapshot.data() + sizeof(uint32_t), sizeof(version));
+  EXPECT_EQ(version, 1u);
 
   JoinerCore fresh(cfg);
   ASSERT_TRUE(fresh.RestoreState(snapshot).ok());
   EXPECT_EQ(fresh.stored_count(Rel::kR), joiner.stored_count(Rel::kR));
   EXPECT_EQ(fresh.stored_count(Rel::kS), joiner.stored_count(Rel::kS));
   EXPECT_EQ(fresh.metrics().stored_bytes, joiner.metrics().stored_bytes);
+  // Restore resets epochs to 0, where this state already is, so the
+  // restored state snapshots to the same bytes, rows included.
+  std::vector<uint8_t> again;
+  ASSERT_TRUE(fresh.SnapshotState(&again).ok());
+  EXPECT_EQ(again, snapshot);
 
-  // The restored joiner joins new tuples against the restored state.
-  Envelope probe;
-  probe.type = MsgType::kData;
-  probe.rel = Rel::kR;
-  probe.key = 1;  // S keys 1, 4, 7, ... include 1
-  probe.tag = 123;
-  probe.seq = 10000;
-  probe.bytes = 16;
-  probe.store = true;
-  fresh.OnMessage(std::move(probe), ctx);
+  // The restored joiner joins new tuples against the restored state,
+  // row-carrying and slim entries alike, exactly as the original does.
+  const auto probe = [] {
+    Envelope env;
+    env.type = MsgType::kData;
+    env.rel = Rel::kR;
+    env.key = 1;  // S holds key 1 (i = 1, 41, 61, ...)
+    env.tag = 123;
+    env.seq = 10000;
+    env.bytes = 16;
+    env.store = true;
+    env.has_row = true;
+    env.row.Append(Value(int64_t{1}));
+    env.row.Append(Value(int64_t{10000}));
+    return env;
+  };
+  const uint64_t before = joiner.output_count();
+  joiner.OnMessage(probe(), ctx);
+  fresh.OnMessage(probe(), ctx);
   EXPECT_GT(fresh.output_count(), 0u);
+  EXPECT_EQ(fresh.output_count(), joiner.output_count() - before);
 }
 
 TEST(JoinerSnapshot, CorruptDataRejected) {
