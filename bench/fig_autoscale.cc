@@ -2,12 +2,12 @@
 // runtime loop): a calm paced phase, then the input arrives full speed. A
 // statically under-provisioned operator (4 joiners) rides out the surge on
 // backpressure; a statically over-provisioned one (16 joiners) absorbs it;
-// the autoscaled operator starts at 4, the AutoscaleController sees the
-// surge through the telemetry plane (credit-stall ratio or per-joiner input
-// rate) and grows the grid mid-stream via the migration protocol — and must
+// the autoscaled operator starts at 4, its ControlLoop sees the surge
+// through the telemetry plane (credit-stall ratio or per-joiner input rate)
+// and grows the grid mid-stream via the migration protocol — and must
 // recover >= 80% of the over-provisioned throughput. Once the stream goes
-// silent it folds back down, so the exported telemetry trace carries both
-// scale events.
+// silent it folds back down, so the exported telemetry carries both scale
+// trace events and both accepted decisions.
 //
 // Writes BENCH_fig_autoscale.json plus the autoscaled run's telemetry
 // export (autoscale_telemetry.json, schema-checked by
@@ -16,14 +16,13 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/random.h"
 #include "src/common/trace_ring.h"
-#include "src/core/autoscale.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
 #include "src/runtime/metrics_registry.h"
 #include "src/runtime/thread_engine.h"
@@ -107,15 +106,14 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
   JoinOperator op(engine, cfg);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 2000;
-  TelemetrySampler sampler(&registry, topts);
-  std::unique_ptr<AutoscaleController> ctl;
+  ControlLoop::Options lopts;
+  lopts.period_us = 1000;
+  ControlLoop loop(&registry, lopts);
+  size_t scaled = 0;
   if (mode == Mode::kAutoscale) {
-    sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-    sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-    sampler.SetTraceSource(&trace);
-    sampler.Start();
+    loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+    loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+    loop.SetTraceSource(&trace);
 
     AutoscaleConfig ac;
     ac.min_live = 4;
@@ -128,12 +126,8 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
     ac.surge_ticks = 1;
     ac.idle_ticks = 2;
     ac.cooldown_ticks = 2;
-    AutoscaleController::Options copts;
-    copts.period_us = 1000;
-    ctl = std::make_unique<AutoscaleController>(
-        op, &registry, op.joiner_task_ids(), ac, copts);
-    ctl->SetExchangeSource([&engine] { return engine.exchange_stats(); });
-    ctl->Start();
+    scaled = loop.Autoscale(op, op.joiner_task_ids(), ac);
+    loop.Start();
   }
 
   // Calm phase: paced to ~40k tuples/s, well under any grow trigger.
@@ -153,23 +147,26 @@ SurgeResult RunSurge(Mode mode, const std::vector<StreamTuple>& calm,
 
   SurgeResult r;
   r.surge_secs = SecsSince(t0);
-  if (ctl != nullptr) {
+  if (mode == Mode::kAutoscale) {
     // Outside the timed window: the silent stream triggers the fold-down.
-    PollUntil([&] { return ctl->shrinks() >= 1; }, 15000);
-    ctl->Stop();
+    PollUntil(
+        [&] {
+          return loop.accepted_count(scaled, ControlLoop::Action::kShrink) >= 1;
+        },
+        15000);
+    loop.Stop();
   }
   op.SendEos();
   engine.WaitQuiescent();
   if (mode == Mode::kAutoscale) {
-    sampler.Stop();
-    r.grows = ctl->grows();
-    r.shrinks = ctl->shrinks();
+    r.grows = loop.accepted_count(scaled, ControlLoop::Action::kGrow);
+    r.shrinks = loop.accepted_count(scaled, ControlLoop::Action::kShrink);
     for (const TraceEvent& ev : trace.Snapshot()) {
       if (ev.kind == TraceEventKind::kScaleGrow) ++r.grow_events;
       if (ev.kind == TraceEventKind::kScaleShrink) ++r.shrink_events;
     }
     if (telemetry_path != nullptr) {
-      sampler.WriteJson(telemetry_path, "fig_autoscale");
+      loop.WriteJson(telemetry_path, "fig_autoscale");
     }
   }
   r.outputs = op.TotalOutputs();

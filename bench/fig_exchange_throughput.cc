@@ -47,6 +47,7 @@
 #include "src/common/status.h"
 #include "src/common/stopwatch.h"
 #include "src/common/trace_ring.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
 #include "src/query/dataflow.h"
 #include "src/runtime/metrics_registry.h"
@@ -271,9 +272,9 @@ JoinRunResult JoinRun(const Mode& mode, uint32_t machines,
   JoinRunResult result;
   for (int rep = 0; rep < reps; ++rep) {
     // Telemetry axis state (batched modes only): registry + trace wired into
-    // the operator and plane, sampler on its own thread at the default
-    // period — the whole live-observability plane running during the
-    // measured window.
+    // the operator and plane, a ControlLoop sampling on its own thread at
+    // the default period — the whole live-observability plane running
+    // during the measured window.
     TraceRing trace(4096);
     MetricsRegistry registry;
     std::unique_ptr<ThreadEngine> engine;
@@ -300,20 +301,20 @@ JoinRunResult JoinRun(const Mode& mode, uint32_t machines,
       op.RouteResultsTo({sink_task});
     }
     engine->Start();
-    TelemetrySampler sampler(&registry);
+    ControlLoop loop(&registry);
     if (telemetry) {
       ThreadEngine* raw = engine.get();
-      sampler.SetEdgeSource([raw] { return raw->edge_stats(); });
-      sampler.SetExchangeSource([raw] { return raw->exchange_stats(); });
-      sampler.SetTraceSource(&trace);
-      sampler.Start();
+      loop.SetEdgeSource([raw] { return raw->edge_stats(); });
+      loop.SetExchangeSource([raw] { return raw->exchange_stats(); });
+      loop.SetTraceSource(&trace);
+      loop.Start();
     }
     Stopwatch clock;
     for (const StreamTuple& t : stream) op.Push(t);
     op.SendEos();
     engine->WaitQuiescent();
     double secs = clock.ElapsedSeconds();
-    if (telemetry) sampler.Stop();
+    if (telemetry) loop.Stop();
     double rate = static_cast<double>(stream.size()) / secs;
     if (rate > result.tuples_per_sec) {
       result.tuples_per_sec = rate;
@@ -577,7 +578,7 @@ int main() {
 
   // Telemetry axis at the 4J operating point: the b64/batch run with the
   // full observability plane live (per-task registry publishing, per-edge
-  // counters, trace ring, sampler thread at the default 10 ms period) vs.
+  // counters, trace ring, control-loop thread at the default 10 ms period) vs.
   // telemetry off, measured back-to-back so host drift cancels. Counter
   // bumps are plain stores and snapshots are seqlock reads, so the on/off
   // ratio must stay within 2%.

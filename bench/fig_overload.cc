@@ -5,8 +5,8 @@
 // runs at a quarter of the exact operator's calibrated probe capacity;
 // the surge then offers 10x that calm rate — 2.5x what exact probing can
 // drain. The exact operator rides backpressure and its ingress backlog
-// grows without bound, while the shedding operator's ShedController sees
-// the backlog through its gauge, backs the probe-admission rate off, and
+// grows without bound, while the shedding operator's ControlLoop sees the
+// backlog through its gauge, backs the probe-admission rate off, and
 // holds the backlog below the configured ceiling at a sustained multiple
 // of the exact throughput.
 //
@@ -28,7 +28,6 @@
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -37,8 +36,8 @@
 #include "bench/bench_common.h"
 #include "src/common/random.h"
 #include "src/common/trace_ring.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
-#include "src/core/shed.h"
 #include "src/net/message.h"
 #include "src/query/dataflow.h"
 #include "src/runtime/metrics_registry.h"
@@ -164,7 +163,7 @@ struct SurgeResult {
 /// Preloads the store, runs a short calm phase at a tenth of the surge
 /// rate, then drives the paced surge (probes/s) against the capped
 /// 4-joiner grid for `window_secs` — all through a driver queue whose
-/// depth is the ingress backlog gauge. With `shed` a ShedController
+/// depth is the ingress backlog gauge. With `shed` a ControlLoop
 /// watches that gauge against `backlog_ceiling`; without, the operator is
 /// exact and the queue absorbs whatever the operator cannot drain.
 SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
@@ -199,7 +198,10 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
   std::atomic<uint64_t> backlog{0};
   std::atomic<bool> stop{false};
 
-  std::unique_ptr<ShedController> ctl;
+  ControlLoop::Options lopts;
+  lopts.period_us = 1000;
+  ControlLoop loop(&registry, lopts);
+  size_t shed_op = 0;
   if (shed) {
     ShedConfig sc;
     sc.enter_stall_ratio = 0;  // backlog gauge is the trigger
@@ -209,13 +211,10 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
     sc.recover_ticks = 4;
     sc.cooldown_ticks = 2;
     sc.min_rate_ppm = kExactPpm / 32;
-    ShedController::Options opts;
-    opts.period_us = 1000;
-    ctl = std::make_unique<ShedController>(op, &registry,
-                                           op.joiner_task_ids(), sc, opts);
-    ctl->SetBacklogSource(
+    shed_op = loop.Shed(op, op.joiner_task_ids(), sc);
+    loop.SetBacklogSource(
         [&backlog] { return backlog.load(std::memory_order_relaxed); });
-    ctl->Start();
+    loop.Start();
   }
 
   SurgeResult r;
@@ -294,14 +293,16 @@ SurgeResult RunSurge(bool shed, double offered_rate, double window_secs,
   }
   op.FlushInput();
   engine.WaitQuiescent();
-  if (ctl != nullptr) {
-    // Backlog gone: the controller must walk the rate back to exact.
+  if (shed) {
+    // Backlog gone: the loop must walk the rate back to exact.
     r.recovered = PollUntil(
-        [&] { return ctl->rate_ppm() == kExactPpm; }, 15000);
-    ctl->Stop();
-    r.rate_changes = ctl->rate_changes();
-    for (const ShedController::Action& a : ctl->log()) {
-      if (a.rate_ppm < r.min_rate_ppm) r.min_rate_ppm = a.rate_ppm;
+        [&] { return loop.shed_rate_ppm(shed_op) == kExactPpm; }, 15000);
+    loop.Stop();
+    r.rate_changes =
+        loop.accepted_count(shed_op, ControlLoop::Action::kShedRate);
+    for (const ControlLoop::Decision& d : loop.decisions()) {
+      r.min_rate_ppm =
+          std::min(r.min_rate_ppm, static_cast<uint32_t>(d.next));
     }
     for (const TraceEvent& ev : trace.Snapshot()) {
       if (ev.kind == TraceEventKind::kShedEnter) ++r.shed_enter_events;
@@ -340,9 +341,11 @@ EstimatorResult RunEstimator(int64_t keys, uint64_t s_per_key) {
   const double p = 0.25;
   std::vector<StreamTuple> stream;
   Rng rng(13);
-  // All R first, then all S (shuffled within each phase): every S-probe
-  // matches exactly the 4 stored R rows of its key, so the exact per-key
-  // count is 4 * s_per_key and the per-term range in the bound is tight.
+  // All R first, then all S (shuffled within each phase), with the R phase
+  // stored everywhere before the first S probe (the threaded plane keeps
+  // order per edge, not across reshufflers): every S-probe matches exactly
+  // the 4 stored R rows of its key, so the exact per-key count is
+  // 4 * s_per_key and the per-term range in the bound is tight.
   for (int64_t k = 0; k < keys; ++k) {
     for (int i = 0; i < 4; ++i) {
       StreamTuple t;
@@ -394,7 +397,10 @@ EstimatorResult RunEstimator(int64_t keys, uint64_t s_per_key) {
         return AllJoinersAtRate(registry, static_cast<uint32_t>(p * kExactPpm));
       },
       10000);
-  for (const StreamTuple& t : stream) op.Push(t);
+  for (size_t i = 0; i < r_end; ++i) op.Push(stream[i]);
+  op.FlushInput();
+  engine.WaitQuiescent();
+  for (size_t i = r_end; i < stream.size(); ++i) op.Push(stream[i]);
   df.SendEos();
   engine.WaitQuiescent();
 

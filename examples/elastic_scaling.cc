@@ -1,14 +1,14 @@
 // Elastic runtime scaling (section 4.3, closed into a live loop): a
-// background AutoscaleController watches a running threaded join through
-// the telemetry plane and adds/retires joiner machines mid-stream — the
-// migration protocol (Alg. 3) reshapes the grid without pausing the input,
-// and the output stays exact throughout.
+// ControlLoop thread watches a running threaded join through the telemetry
+// plane and adds/retires joiner machines mid-stream — the migration
+// protocol (Alg. 3) reshapes the grid without pausing the input, and the
+// output stays exact throughout.
 //
 // The demo drives a surge/idle cycle: paced input keeps the rate trigger
 // below threshold, then the full-speed burst trips it (4 -> 16 joiners);
 // once the stream goes silent the idle trigger folds the grid back down
-// (16 -> 4). The decision log and the controller's migration log show the
-// round trip.
+// (16 -> 4). The loop's decision log and the controller's migration log
+// show the round trip.
 
 #include <chrono>
 #include <cstdio>
@@ -16,7 +16,8 @@
 #include <thread>
 
 #include "src/common/random.h"
-#include "src/core/autoscale.h"
+#include "src/common/stopwatch.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
 #include "src/runtime/metrics_registry.h"
 #include "src/runtime/thread_engine.h"
@@ -35,14 +36,6 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
   return pred();
 }
 
-const char* DecisionName(AutoscalePolicy::Decision d) {
-  switch (d) {
-    case AutoscalePolicy::Decision::kHold: return "hold";
-    case AutoscalePolicy::Decision::kGrow: return "grow";
-    case AutoscalePolicy::Decision::kShrink: return "shrink";
-  }
-  return "?";
-}
 
 }  // namespace
 
@@ -69,11 +62,19 @@ int main() {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options opts;
+  ControlLoop::Options opts;
   opts.period_us = 1000;
-  AutoscaleController ctl(op, &registry, op.joiner_task_ids(), ac);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  ctl.Start();
+  ControlLoop loop(&registry, opts);
+  const size_t scaled = loop.Autoscale(op, op.joiner_task_ids(), ac);
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  const auto grows = [&] {
+    return loop.accepted_count(scaled, ControlLoop::Action::kGrow);
+  };
+  const auto shrinks = [&] {
+    return loop.accepted_count(scaled, ControlLoop::Action::kShrink);
+  };
+  const uint64_t t0_us = SteadyNowMicros();  // the loop's clock
+  loop.Start();
 
   Rng rng(11);
   const int kTuples = 12000;
@@ -84,27 +85,29 @@ int main() {
     t.bytes = 24;
     op.Push(t);
     // Keep the surge visible across policy ticks until the first grow lands
-    // (pacing only shortcuts once the controller has acted).
-    if (i % 50 == 0 && ctl.grows() == 0) {
+    // (pacing only shortcuts once the loop has acted).
+    if (i % 50 == 0 && grows() == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
   op.FlushInput();
-  PollUntil([&] { return ctl.grows() >= 1; }, 15000);
+  PollUntil([&] { return grows() >= 1; }, 15000);
   // Silence: the idle trigger folds the grid back down.
-  PollUntil([&] { return ctl.shrinks() >= 1; }, 15000);
-  ctl.Stop();
+  PollUntil([&] { return shrinks() >= 1; }, 15000);
+  loop.Stop();
   op.SendEos();
   engine.WaitQuiescent();
 
   std::printf("streamed %d tuples into a 4-joiner operator "
               "(16 allocated slots)\n\n", kTuples);
   std::printf("autoscale decisions:\n");
-  for (const AutoscaleController::Action& a : ctl.log()) {
-    std::printf("  t=%8lluus %-6s live=%2u rate=%8.0f/s%s\n",
-                static_cast<unsigned long long>(a.t_us),
-                DecisionName(a.decision), a.sample.live_joiners,
-                a.sample.input_rate, a.accepted ? "" : " (refused)");
+  for (const ControlLoop::Decision& d : loop.decisions()) {
+    std::printf("  t=%8.1fms %-6s live=%2llu -> %2llu rate=%8.0f/s%s\n",
+                static_cast<double>(d.t_us - t0_us) / 1e3,
+                d.action == ControlLoop::Action::kGrow ? "grow" : "shrink",
+                static_cast<unsigned long long>(d.prev),
+                static_cast<unsigned long long>(d.next),
+                d.signals.input_rate, d.accepted ? "" : " (refused)");
   }
   std::printf("\nmigration log:\n");
   for (const MigrationRecord& rec : op.controller()->log()) {
@@ -121,12 +124,12 @@ int main() {
   std::printf("\nfinal grid: %s — %u live joiners (grows %llu, shrinks "
               "%llu)\n",
               op.controller()->current_mapping(0).ToString().c_str(), live,
-              static_cast<unsigned long long>(ctl.grows()),
-              static_cast<unsigned long long>(ctl.shrinks()));
+              static_cast<unsigned long long>(grows()),
+              static_cast<unsigned long long>(shrinks()));
   std::printf("join results: %llu\n",
               static_cast<unsigned long long>(op.TotalOutputs()));
   engine.Shutdown();
-  const bool ok = ctl.grows() >= 1 && ctl.shrinks() >= 1;
+  const bool ok = grows() >= 1 && shrinks() >= 1;
   std::printf("%s\n", ok ? "round trip complete" : "NO ROUND TRIP");
   return ok ? 0 : 1;
 }

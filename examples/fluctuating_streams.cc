@@ -4,24 +4,26 @@
 // the optimum (Theorem 4.6).
 //
 // Doubles as the telemetry-plane demo: the sim run wires a MetricsRegistry
-// and drain-interval TelemetrySampler (summary lines below), and with an
-// output path argument a second, threaded 4-joiner adaptive run samples on
-// the sampler's own thread — per-task seqlock snapshots, per-edge
+// and a ControlLoop ticked at drain intervals (summary lines below), and
+// with an output path argument a second, threaded 4-joiner adaptive run
+// samples on the loop's own thread — per-task seqlock snapshots, per-edge
 // backpressure counters, and the migration/stall trace ring — and exports
 // the series as schema-versioned JSON (tools/validate_telemetry.py checks
 // it).
 //
-// `--autoscale <path>` runs the CI surge smoke instead: a threaded run with
-// a live AutoscaleController that must grow on the surge and shrink once
-// the stream goes silent, exporting telemetry whose trace carries both
-// scale events (validate_telemetry.py --require-scale-events enforces it).
+// `--autoscale <path>` runs the CI surge smoke instead: a threaded run whose
+// ControlLoop autoscales the join and must grow on the surge and shrink
+// once the stream goes silent, exporting telemetry whose trace carries both
+// scale events and whose decision log carries both accepted actions
+// (validate_telemetry.py --require-scale-events enforces it).
 //
-// `--shed <path>` runs the CI overload smoke: a threaded run with a live
-// ShedController that must back the probe-admission rate off when the
-// ingress backlog gauge spikes and restore exactness once it drains,
-// exporting telemetry whose trace carries shed events and whose samples
-// show joiners at a sampled rate (validate_telemetry.py
-// --require-shed-events enforces it).
+// `--shed <path>` runs the CI overload smoke: a threaded run whose
+// ControlLoop sheds the join and must back the probe-admission rate off
+// when the ingress backlog gauge spikes and restore exactness once it
+// drains, exporting telemetry whose trace carries shed events, whose
+// samples show joiners at a sampled rate, and whose decision log carries
+// accepted shed decisions (validate_telemetry.py --require-shed-events
+// enforces it).
 
 #include <atomic>
 #include <chrono>
@@ -31,10 +33,9 @@
 #include <thread>
 
 #include "src/common/trace_ring.h"
-#include "src/core/autoscale.h"
+#include "src/core/control_loop.h"
 #include "src/core/driver.h"
 #include "src/core/operator.h"
-#include "src/core/shed.h"
 #include "src/datagen/workloads.h"
 #include "src/net/message.h"
 #include "src/runtime/metrics_registry.h"
@@ -55,10 +56,11 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
   return pred();
 }
 
-// Surge smoke (--autoscale): a live AutoscaleController on the threaded
-// engine grows the grid under the input surge and folds it back once the
-// stream goes silent; the telemetry export must carry both scale trace
-// events. Exits nonzero if either scale direction never happened.
+// Surge smoke (--autoscale): a ControlLoop on the threaded engine grows the
+// grid under the input surge and folds it back once the stream goes
+// silent; the telemetry export must carry both scale trace events and both
+// accepted decisions. Exits nonzero if either scale direction never
+// happened.
 int RunAutoscaleExport(const char* path) {
   Workload w = Workload::Synthetic(/*r_count=*/3000, /*s_count=*/9000,
                                    24, 24, /*key_domain=*/4000,
@@ -79,14 +81,6 @@ int RunAutoscaleExport(const char* path) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 2000;
-  TelemetrySampler sampler(&registry, topts);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
-
   AutoscaleConfig ac;
   ac.min_live = 4;
   ac.max_live = 16;
@@ -96,11 +90,20 @@ int RunAutoscaleExport(const char* path) {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options copts;
-  copts.period_us = 1000;
-  AutoscaleController ctl(op, &registry, op.joiner_task_ids(), ac, copts);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  ctl.Start();
+  ControlLoop::Options lopts;
+  lopts.period_us = 1000;
+  ControlLoop loop(&registry, lopts);
+  const size_t scaled = loop.Autoscale(op, op.joiner_task_ids(), ac);
+  loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  loop.SetTraceSource(&trace);
+  const auto grows = [&] {
+    return loop.accepted_count(scaled, ControlLoop::Action::kGrow);
+  };
+  const auto shrinks = [&] {
+    return loop.accepted_count(scaled, ControlLoop::Action::kShrink);
+  };
+  loop.Start();
 
   ArrivalPolicy policy;
   policy.kind = ArrivalPolicy::Kind::kFluctuating;
@@ -111,19 +114,18 @@ int RunAutoscaleExport(const char* path) {
   while (source->Next(&tuple)) {
     op.Push(tuple);
     // Keep the surge visible across policy ticks until the first grow
-    // lands (the pacing only shortcuts once the controller has acted).
-    if (++pushed % 50 == 0 && ctl.grows() == 0) {
+    // lands (the pacing only shortcuts once the loop has acted).
+    if (++pushed % 50 == 0 && grows() == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
   op.FlushInput();
-  const bool grew = PollUntil([&] { return ctl.grows() >= 1; }, 15000);
+  const bool grew = PollUntil([&] { return grows() >= 1; }, 15000);
   // Input has gone silent: the idle trigger must shrink back down.
-  const bool shrank = PollUntil([&] { return ctl.shrinks() >= 1; }, 15000);
-  ctl.Stop();
+  const bool shrank = PollUntil([&] { return shrinks() >= 1; }, 15000);
+  loop.Stop();
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.Stop();
 
   uint64_t grow_events = 0, shrink_events = 0;
   for (const TraceEvent& ev : trace.Snapshot()) {
@@ -132,21 +134,21 @@ int RunAutoscaleExport(const char* path) {
   }
   std::printf("autoscale smoke: grows %llu shrinks %llu (trace: %llu grow, "
               "%llu shrink events)\n",
-              static_cast<unsigned long long>(ctl.grows()),
-              static_cast<unsigned long long>(ctl.shrinks()),
+              static_cast<unsigned long long>(grows()),
+              static_cast<unsigned long long>(shrinks()),
               static_cast<unsigned long long>(grow_events),
               static_cast<unsigned long long>(shrink_events));
-  const bool wrote = sampler.WriteJson(path, "fluctuating_streams_autoscale");
+  const bool wrote = loop.WriteJson(path, "fluctuating_streams_autoscale");
   std::printf("  wrote %s: %s\n", path, wrote ? "ok" : "FAILED");
   engine.Shutdown();
   return (grew && shrank && wrote) ? 0 : 1;
 }
 
-// Overload smoke (--shed): a live ShedController on the threaded engine
-// backs the admission rate off when the ingress backlog gauge spikes
-// mid-stream and walks it back to exact once the backlog drains; the
-// telemetry export must carry shed trace events and mid-shed joiner
-// samples. Exits nonzero if either transition never happened.
+// Overload smoke (--shed): a ControlLoop on the threaded engine backs the
+// admission rate off when the ingress backlog gauge spikes mid-stream and
+// walks it back to exact once the backlog drains; the telemetry export
+// must carry shed trace events, mid-shed joiner samples and the accepted
+// shed decisions. Exits nonzero if either transition never happened.
 int RunShedExport(const char* path) {
   Workload w = Workload::Synthetic(/*r_count=*/4000, /*s_count=*/12000,
                                    24, 24, /*key_domain=*/4000,
@@ -166,14 +168,6 @@ int RunShedExport(const char* path) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  topts.period_us = 1000;
-  TelemetrySampler sampler(&registry, topts);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
-
   ShedConfig sc;
   sc.enter_stall_ratio = 0;  // deterministic smoke: backlog gauge triggers
   sc.enter_backlog = 100;
@@ -181,13 +175,17 @@ int RunShedExport(const char* path) {
   sc.overload_ticks = 1;
   sc.recover_ticks = 1;
   sc.cooldown_ticks = 0;
-  ShedController::Options copts;
-  copts.period_us = 500;
-  ShedController ctl(op, &registry, op.joiner_task_ids(), sc, copts);
+  ControlLoop::Options lopts;
+  lopts.period_us = 1000;
+  ControlLoop loop(&registry, lopts);
+  const size_t shed = loop.Shed(op, op.joiner_task_ids(), sc);
   std::atomic<uint64_t> backlog{0};
-  ctl.SetBacklogSource(
+  loop.SetBacklogSource(
       [&backlog] { return backlog.load(std::memory_order_relaxed); });
-  ctl.Start();
+  loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  loop.SetTraceSource(&trace);
+  loop.Start();
 
   const uint32_t exact_ppm = static_cast<uint32_t>(kShedExactPpm);
   auto joiners_at = [&registry](uint32_t rate) {
@@ -211,28 +209,32 @@ int RunShedExport(const char* path) {
   while (source->Next(&tuple)) {
     op.Push(tuple);
     if (++pushed == half) {
-      // Mid-stream overload: the gauge spikes, the controller must shed,
+      // Mid-stream overload: the gauge spikes, the loop must shed,
       // and the rest of the stream probes under the sampled rate so the
       // export carries mid-shed joiner samples and skipped-probe counters.
       backlog.store(100000, std::memory_order_relaxed);
       shed_applied = PollUntil(
-          [&] { return ctl.rate_ppm() < exact_ppm && joiners_at(ctl.rate_ppm()); },
+          [&] {
+            const uint32_t rate = loop.shed_rate_ppm(shed);
+            return rate < exact_ppm && joiners_at(rate);
+          },
           15000);
     }
   }
   op.FlushInput();
   engine.WaitQuiescent();
-  // Give the sampler a few periods with the joiners still shedding.
+  // Give the loop a few periods of samples with the joiners still shedding.
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // Backlog drained: the controller must restore exactness.
+  // Backlog drained: the loop must restore exactness.
   backlog.store(0, std::memory_order_relaxed);
   const bool recovered = PollUntil(
-      [&] { return ctl.rate_ppm() == exact_ppm && joiners_at(exact_ppm); },
+      [&] {
+        return loop.shed_rate_ppm(shed) == exact_ppm && joiners_at(exact_ppm);
+      },
       15000);
-  ctl.Stop();
+  loop.Stop();
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.Stop();
 
   uint64_t enter_events = 0, exit_events = 0;
   for (const TraceEvent& ev : trace.Snapshot()) {
@@ -241,12 +243,13 @@ int RunShedExport(const char* path) {
   }
   std::printf("shed smoke: rate changes %llu, shed %s, recovered %s "
               "(trace: %llu enter, %llu exit events)\n",
-              static_cast<unsigned long long>(ctl.rate_changes()),
+              static_cast<unsigned long long>(
+                  loop.accepted_count(shed, ControlLoop::Action::kShedRate)),
               shed_applied ? "ok" : "MISSING",
               recovered ? "ok" : "MISSING",
               static_cast<unsigned long long>(enter_events),
               static_cast<unsigned long long>(exit_events));
-  const bool wrote = sampler.WriteJson(path, "fluctuating_streams_shed");
+  const bool wrote = loop.WriteJson(path, "fluctuating_streams_shed");
   std::printf("  wrote %s: %s\n", path, wrote ? "ok" : "FAILED");
   engine.Shutdown();
   return (shed_applied && recovered && enter_events >= 1 && exit_events >= 1 &&
@@ -284,13 +287,13 @@ int RunThreadedExport(const char* path) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler::Options opts;
+  ControlLoop::Options opts;
   opts.period_us = 2000;  // 2 ms: plenty of mid-stream samples on a short run
-  TelemetrySampler sampler(&registry, opts);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
+  ControlLoop loop(&registry, opts);
+  loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  loop.SetTraceSource(&trace);
+  loop.Start();
 
   ArrivalPolicy policy;
   policy.kind = ArrivalPolicy::Kind::kFluctuating;
@@ -301,17 +304,17 @@ int RunThreadedExport(const char* path) {
   while (source->Next(&tuple)) op.Push(tuple);
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.Stop();
+  loop.Stop();
 
   std::printf("\nthreaded 4J export: %llu samples, %llu trace events\n",
-              static_cast<unsigned long long>(sampler.samples_taken()),
+              static_cast<unsigned long long>(loop.samples_taken()),
               static_cast<unsigned long long>(trace.total_recorded()));
-  const std::vector<TelemetrySample> series = sampler.series();
+  const std::vector<TelemetrySample> series = loop.series();
   if (!series.empty()) {
     std::printf("  final: %s\n",
-                TelemetrySampler::SummaryLine(series.back()).c_str());
+                ControlLoop::SummaryLine(series.back()).c_str());
   }
-  const bool ok = sampler.WriteJson(path, "fluctuating_streams_4j");
+  const bool ok = loop.WriteJson(path, "fluctuating_streams_4j");
   std::printf("  wrote %s: %s\n", path, ok ? "ok" : "FAILED");
   engine.Shutdown();
   return ok ? 0 : 1;
@@ -343,8 +346,8 @@ int main(int argc, char** argv) {
   engine.Start();
 
   // Drain-interval sampling: the sim engine has no threads, so RunWorkload
-  // calls SampleNow at every snapshot point.
-  TelemetrySampler sampler(&registry);
+  // ticks the loop at every snapshot point.
+  ControlLoop loop(&registry);
 
   ArrivalPolicy policy;
   policy.kind = ArrivalPolicy::Kind::kFluctuating;
@@ -352,7 +355,7 @@ int main(int argc, char** argv) {
   RunOptions opts;
   opts.arrival = policy;
   opts.snapshots = 20;
-  opts.sampler = &sampler;
+  opts.control = &loop;
   RunResult r = RunWorkload(engine, op, w, opts);
 
   std::printf("fluctuation factor k = %.0f, J = 32\n\n", k);
@@ -375,12 +378,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.outputs), r.max_ilf_ratio);
 
   // Telemetry summary: every 5th drain-interval sample plus the last.
-  const std::vector<TelemetrySample> series = sampler.series();
+  const std::vector<TelemetrySample> series = loop.series();
   std::printf("\ntelemetry (drain-interval samples, %zu taken):\n",
               series.size());
   for (size_t i = 0; i < series.size(); ++i) {
     if (i % 5 != 0 && i + 1 != series.size()) continue;
-    std::printf("  %s\n", TelemetrySampler::SummaryLine(series[i]).c_str());
+    std::printf("  %s\n", ControlLoop::SummaryLine(series[i]).c_str());
   }
 
   if (argc > 1) return RunThreadedExport(argv[1]);

@@ -10,17 +10,18 @@
 // live in every stage — join and aggregate alike.
 //
 // Usage: example_tpch_pipeline [telemetry.json]
-// With a path argument the run also samples the metrics registry at drain
-// intervals and exports the series as structured telemetry JSON (the CI
-// agg smoke feeds this to tools/validate_telemetry.py --require-agg-tasks).
+// With a path argument the run also ticks a ControlLoop (no policies
+// attached: sampling only) at drain intervals and exports the series as
+// structured telemetry JSON (the CI agg smoke feeds this to
+// tools/validate_telemetry.py --require-agg-tasks).
 
 #include <cstdio>
 #include <memory>
 
+#include "src/core/control_loop.h"
 #include "src/datagen/tpch.h"
 #include "src/query/dataflow.h"
 #include "src/query/pipeline.h"
-#include "src/runtime/metrics_registry.h"
 #include "src/sim/sim_engine.h"
 
 using namespace ajoin;
@@ -92,10 +93,9 @@ int main(int argc, char** argv) {
   flow.Connect(per_supp, out);
   engine.Start();
 
-  TelemetrySampler::Options topts;
-  std::unique_ptr<TelemetrySampler> sampler;
+  std::unique_ptr<ControlLoop> loop;
   if (telemetry_path != nullptr) {
-    sampler = std::make_unique<TelemetrySampler>(&registry, topts);
+    loop = std::make_unique<ControlLoop>(&registry);
   }
 
   for (const Row& row : rn.rows) {
@@ -126,12 +126,12 @@ int main(int argc, char** argv) {
     flow.join(probe).Push(t);
     if (i % 512 == 0) {
       engine.WaitQuiescent();
-      if (sampler) sampler->SampleNow(i);  // sim path: logical time = rows
+      if (loop) loop->TickNow(i);  // sim path: logical time = rows
     }
   }
   flow.SendEos();
   engine.WaitQuiescent();
-  if (sampler) sampler->SampleNow(n_li + 1);
+  if (loop) loop->TickNow(n_li + 1);
 
   std::printf("stage 1 (streaming): |X| Supplier (%llu) -> %llu results, "
               "%zu migrations\n",
@@ -163,8 +163,8 @@ int main(int argc, char** argv) {
     std::printf("  MISMATCH: aggregated tuples != join results\n");
     return 1;
   }
-  if (sampler) {
-    const bool wrote = sampler->WriteJson(telemetry_path, "tpch_pipeline");
+  if (loop) {
+    const bool wrote = loop->WriteJson(telemetry_path, "tpch_pipeline");
     std::printf("  wrote %s: %s\n", telemetry_path, wrote ? "ok" : "FAILED");
     if (!wrote) return 1;
   }

@@ -3,36 +3,19 @@
 // telemetry plane and add or retire joiner machines at runtime, using the
 // migration protocol (Alg. 3) as the mechanism so the stream never pauses.
 //
-// Split into two pieces so the decision logic is testable without an
-// engine:
-//
-//  * AutoscalePolicy — a pure, deterministic state machine: feed it one
-//    AutoscaleSample per tick, get back kHold/kGrow/kShrink. Hysteresis
-//    (consecutive-tick streaks), cooldown after an action, and a hard hold
-//    while a migration is in flight all live here.
-//  * AutoscaleController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots (filtered to one operator's joiner tasks)
-//    plus an optional exchange-plane stall source, runs the policy, and
-//    calls Operator::GrowJoiners / ShrinkJoiners. It keeps a decision log
-//    for tests and telemetry.
+// AutoscalePolicy is the decision logic: a pure, deterministic state
+// machine, testable without an engine — feed it one AutoscaleSample per
+// tick, get back kHold/kGrow/kShrink. Hysteresis (consecutive-tick
+// streaks), cooldown after an action, and a hard hold while a migration is
+// in flight all live here. ControlLoop (src/core/control_loop.h) builds the
+// samples from telemetry snapshots, steps the policy, and calls
+// Operator::GrowJoiners / ShrinkJoiners.
 
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
-
-#include "src/exchange/exchange.h"
-#include "src/runtime/metrics_registry.h"
 
 namespace ajoin {
-
-class Operator;  // src/core/operator.h
 
 /// Policy knobs. Rates are per-second; ratios are fractions of wall time.
 struct AutoscaleConfig {
@@ -142,90 +125,6 @@ class AutoscalePolicy {
   uint32_t surge_streak_ = 0;
   uint32_t idle_streak_ = 0;
   uint32_t cooldown_ = 0;
-};
-
-/// Background controller: samples the telemetry plane at a fixed period,
-/// runs AutoscalePolicy, and drives Operator::GrowJoiners/ShrinkJoiners.
-class AutoscaleController {
- public:
-  struct Options {
-    /// Policy tick period for the Start()ed thread.
-    uint64_t period_us = 2000;
-  };
-
-  /// One policy action (or observed decision) for the log.
-  struct Action {
-    uint64_t t_us = 0;
-    AutoscalePolicy::Decision decision = AutoscalePolicy::Decision::kHold;
-    AutoscaleSample sample;  // what the policy saw
-    bool accepted = false;   // operator took the request
-  };
-
-  /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
-  /// operator's joiner_task_ids()) and scales `op`. Neither is owned; both
-  /// must outlive the controller. Call Start() after the engine starts.
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
-                      std::vector<int> joiner_tasks, AutoscaleConfig config,
-                      Options options);
-  /// Same, with default Options (2 ms tick).
-  AutoscaleController(Operator& op, const MetricsRegistry* registry,
-                      std::vector<int> joiner_tasks, AutoscaleConfig config);
-  ~AutoscaleController();
-
-  AutoscaleController(const AutoscaleController&) = delete;
-  AutoscaleController& operator=(const AutoscaleController&) = delete;
-
-  /// Adds plane-wide exchange stats to every sample so the stall-ratio
-  /// trigger works (e.g. bind ThreadEngine::exchange_stats). Set before
-  /// Start().
-  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
-
-  /// Starts the policy thread. No-op if already running.
-  void Start();
-
-  /// Stops the policy thread. No-op if not running. Safe to call before
-  /// engine shutdown (pending scale requests already posted keep draining).
-  void Stop();
-
-  /// Takes one sample, runs the policy, applies the decision, and returns
-  /// it. This is what the background thread runs per tick; tests (and sim
-  /// drivers) can call it directly with a logical timestamp.
-  AutoscalePolicy::Decision TickNow(uint64_t t_us);
-
-  /// Every non-hold decision taken so far, in order.
-  std::vector<Action> log() const;
-  /// Count of accepted grow actions.
-  uint64_t grows() const;
-  /// Count of accepted shrink actions.
-  uint64_t shrinks() const;
-
- private:
-  void Loop();
-  AutoscaleSample BuildSample(uint64_t t_us);
-
-  Operator& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
-  AutoscalePolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
-
-  mutable std::mutex mu_;  // guards log_ / counters
-  std::vector<Action> log_;
-  uint64_t grows_ = 0;
-  uint64_t shrinks_ = 0;
-
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace ajoin

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/runtime/metrics_registry.h"
+#include "src/core/control_loop.h"
 
 namespace ajoin {
 
@@ -68,10 +68,9 @@ RunResult RunWorkload(Engine& engine, Operator& op, const Workload& workload,
     point.rs_ratio = s_bytes > 0 ? r_bytes / s_bytes : 0;
     result.series.push_back(point);
     result.max_ilf_ratio = std::max(result.max_ilf_ratio, point.ilf_ratio);
-    // Drain-interval telemetry sampling (the sim-engine path; a threaded
-    // run's sampler thread samples on its own cadence in addition).
-    if (options.sampler != nullptr) {
-      options.sampler->SampleNow(engine.NowMicros());
+    // Drain-interval control tick (the sim-engine path).
+    if (options.control != nullptr) {
+      options.control->TickNow(engine.NowMicros());
     }
     (void)final_point;
   };

@@ -16,7 +16,7 @@
 
 namespace ajoin {
 
-class TelemetrySampler;  // src/runtime/metrics_registry.h
+class ControlLoop;  // src/core/control_loop.h
 
 struct RunOptions {
   CostModel cost;
@@ -37,11 +37,10 @@ struct RunOptions {
   /// cadence), size-targeted batches of 64 otherwise (threaded runs, where
   /// the driver's per-tuple Post was the last per-envelope hot path).
   uint32_t ingress_batch = 0;
-  /// Live telemetry: when set, RunWorkload calls sampler->SampleNow at
-  /// every snapshot point (the sim engine's drain-interval sampling path;
-  /// threaded runs additionally Start() the sampler's own thread). Not
-  /// owned.
-  TelemetrySampler* sampler = nullptr;
+  /// Live telemetry and control: when set, RunWorkload calls
+  /// control->TickNow at every snapshot point (the sim engine's
+  /// drain-interval path), so the loop must not be Start()ed. Not owned.
+  ControlLoop* control = nullptr;
 };
 
 struct ProgressPoint {

@@ -687,11 +687,16 @@ bool JoinerCore::AdmitProbe() {
 }
 
 void JoinerCore::HandleShed(Envelope& msg, Context& ctx) {
-  // Admission-rate change. Every reshuffler forwards the controller's kShed
+  // Admission-rate change. Every reshuffler forwards the operator's kShed
   // to every allocated joiner so the new rate serializes behind each data
-  // edge, which means the same rate arrives num_reshufflers times — act
-  // (and trace) only on an actual change. Clamped to [1, kShedExactPpm]:
-  // probability zero would make the Horvitz-Thompson weight infinite.
+  // edge, which means each request arrives num_reshufflers times, and after
+  // back-to-back requests a slow edge can deliver an older request's copy
+  // after a newer one. Only a copy with a higher request number (seq) than
+  // the last applied one counts; trace only an actual rate change. Clamped
+  // to [1, kShedExactPpm]: probability zero would make the
+  // Horvitz-Thompson weight infinite.
+  if (msg.seq <= shed_seq_) return;
+  shed_seq_ = msg.seq;
   const uint32_t rate = static_cast<uint32_t>(
       std::min<int64_t>(std::max<int64_t>(msg.key, 1), kShedExactPpm));
   if (rate == shed_rate_ppm_) return;

@@ -257,6 +257,9 @@ class JoinerCore : public Task {
   std::vector<size_t> probe_idx_;    // shed scratch: run pos -> batch item
   std::vector<std::pair<uint64_t, uint64_t>> pairs_;
   JoinerMetrics metrics_;
+  // Request number of the last applied kShed (cold; kept behind the hot
+  // members above).
+  uint64_t shed_seq_ = 0;
 };
 
 }  // namespace ajoin

@@ -188,7 +188,9 @@ bool JoinOperator::GrowJoiners(uint32_t steps) {
 bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
   // Rides the same dedicated single-producer control lane as scale requests
   // (Port() belongs to the Push driver thread; a shed policy thread must
-  // not touch it). scale_mu_ serializes concurrent control callers.
+  // not touch it). scale_mu_ serializes concurrent control callers, so
+  // request numbers increase in posting order; joiners use them to drop
+  // stale copies (JoinerCore::HandleShed).
   std::lock_guard<std::mutex> lock(scale_mu_);
   if (scale_port_ == nullptr) {
     scale_port_ = engine_.OpenIngress(reshuffler_ids_[0]);
@@ -196,6 +198,7 @@ bool JoinOperator::SetShedRate(uint32_t rate_ppm) {
   Envelope env;
   env.type = MsgType::kShed;
   env.key = static_cast<int64_t>(rate_ppm);
+  env.seq = ++shed_seq_;
   return scale_port_->Post(reshuffler_ids_[0], std::move(env));
 }
 

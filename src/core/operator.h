@@ -300,7 +300,7 @@ class JoinOperator : public Operator {
   /// Dataflow upstream stage wires its egress to.
   const std::vector<int>& reshuffler_ids() const { return reshuffler_ids_; }
   /// Engine task ids of every allocated joiner slot (live or dormant) — the
-  /// filter an AutoscaleController applies to registry snapshots.
+  /// filter a ControlLoop applies to registry snapshots.
   const std::vector<int>& joiner_task_ids() const { return joiner_ids_; }
 
   /// Joiner core at slot `i` (engine must be quiescent).
@@ -351,6 +351,7 @@ class JoinOperator : public Operator {
   // policy thread. scale_mu_ serializes concurrent scale callers.
   std::mutex scale_mu_;
   std::unique_ptr<IngressPort> scale_port_;  // guarded by scale_mu_
+  uint64_t shed_seq_ = 0;  // last kShed request number; guarded by scale_mu_
 };
 
 /// Content-sensitive parallel symmetric hash join (the Shj baseline of

@@ -89,7 +89,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
       break;
     }
     case MsgType::kScale: {
-      // Elastic scale request (operator facade / autoscaler): signed step
+      // Elastic scale request (operator facade / control loop): signed step
       // count in msg.key. The controller applies one step per migration
       // round; requests arriving mid-migration queue until the last ack.
       AJOIN_CHECK_MSG(controller_ != nullptr, "scale request at non-controller");
@@ -118,18 +118,21 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
       break;
     }
     case MsgType::kShed: {
-      // Admission-rate change (operator facade / shed controller). The
+      // Admission-rate change (operator facade / control loop). The
       // operator posts to reshuffler 0 only; it fans one copy to every peer,
       // and every reshuffler then forwards to every allocated joiner — so
       // the rate change trails, on each reshuffler->joiner edge, all data
-      // that reshuffler routed under the previous rate. Joiners absorb the
-      // num_reshufflers duplicate copies idempotently. No migration state
-      // is involved, so no controller, barrier, or ack round is needed.
+      // that reshuffler routed under the previous rate. Every copy keeps
+      // the request number (seq), so joiners drop the num_reshufflers
+      // duplicates and any stale copy of an older request that a slower
+      // edge delivers late. No migration state is involved, so no
+      // controller, barrier, or ack round is needed.
       if (config_.index == 0) {
         for (uint32_t r = 1; r < config_.num_reshufflers; ++r) {
           Envelope shed;
           shed.type = MsgType::kShed;
           shed.key = msg.key;
+          shed.seq = msg.seq;
           ctx.Send(config_.reshuffler_task_base + static_cast<int>(r),
                    std::move(shed));
         }
@@ -139,6 +142,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
           Envelope shed;
           shed.type = MsgType::kShed;
           shed.key = msg.key;
+          shed.seq = msg.seq;
           ctx.Send(g.block.joiner_task_base + static_cast<int>(p),
                    std::move(shed));
         }

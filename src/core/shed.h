@@ -6,35 +6,23 @@
 // carries Horvitz-Thompson weight 1/p, so weighted aggregates over the
 // sampled output remain unbiased estimators of the exact join.
 //
-// Split like the autoscaler (src/core/autoscale.h) so the decision logic is
-// testable without an engine:
-//
-//  * ShedPolicy — a pure, deterministic state machine: feed it one
-//    ShedSample per tick, get back the admission rate (ppm) the operator
-//    should run at. Hysteresis (consecutive-tick streaks), cooldown after a
-//    rate change, and multiplicative backoff/recovery all live here.
-//  * ShedController — a sampler-style thread that builds samples from
-//    MetricsRegistry snapshots plus optional exchange-plane and ingress-
-//    backlog sources, runs the policy, and calls Operator::SetShedRate on
-//    every rate change. It keeps a decision log for tests and telemetry.
+// ShedPolicy is the decision logic, like AutoscalePolicy
+// (src/core/autoscale.h): a pure, deterministic state machine, testable
+// without an engine — feed it one ShedSample per tick, get back the
+// admission rate (ppm) the operator should run at. Hysteresis
+// (consecutive-tick streaks), cooldown after a rate change, and
+// multiplicative backoff/recovery all live here. ControlLoop
+// (src/core/control_loop.h) builds the samples from telemetry snapshots and
+// the ingress-backlog gauge, steps the policy, and calls
+// Operator::SetShedRate on every rate change.
 
 #pragma once
 
 #include <cstdint>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <unordered_set>
-#include <vector>
 
-#include "src/exchange/exchange.h"
 #include "src/net/message.h"
-#include "src/runtime/metrics_registry.h"
 
 namespace ajoin {
-
-class Operator;  // src/core/operator.h
 
 /// Policy knobs. Ratios are fractions of wall time; rates are ppm.
 struct ShedConfig {
@@ -149,98 +137,6 @@ class ShedPolicy {
   uint32_t overload_streak_ = 0;
   uint32_t recover_streak_ = 0;
   uint32_t cooldown_ = 0;
-};
-
-/// Background controller: samples the telemetry plane at a fixed period,
-/// runs ShedPolicy, and drives Operator::SetShedRate on every rate change.
-class ShedController {
- public:
-  struct Options {
-    /// Policy tick period for the Start()ed thread.
-    uint64_t period_us = 2000;
-  };
-
-  /// One applied rate change for the log.
-  struct Action {
-    uint64_t t_us = 0;
-    uint32_t prev_rate_ppm = 0;
-    uint32_t rate_ppm = 0;
-    ShedSample sample;      // what the policy saw
-    bool accepted = false;  // operator took the request
-  };
-
-  /// Watches `registry` cells whose task ids are in `joiner_tasks` (the
-  /// operator's joiner_task_ids()) and sheds `op`. Neither is owned; both
-  /// must outlive the controller. Call Start() after the engine starts.
-  ShedController(Operator& op, const MetricsRegistry* registry,
-                 std::vector<int> joiner_tasks, ShedConfig config,
-                 Options options);
-  /// Same, with default Options (2 ms tick).
-  ShedController(Operator& op, const MetricsRegistry* registry,
-                 std::vector<int> joiner_tasks, ShedConfig config);
-  ~ShedController();
-
-  ShedController(const ShedController&) = delete;
-  ShedController& operator=(const ShedController&) = delete;
-
-  /// Adds plane-wide exchange stats to every sample so the stall-ratio
-  /// trigger works (e.g. bind ThreadEngine::exchange_stats). Set before
-  /// Start().
-  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
-
-  /// Adds an instantaneous ingress-backlog gauge to every sample so the
-  /// backlog trigger works (e.g. bind the driver's IngressPort::stats
-  /// backlog, or pushed-minus-consumed accounting). Set before Start().
-  void SetBacklogSource(std::function<uint64_t()> source);
-
-  /// Starts the policy thread. No-op if already running.
-  void Start();
-
-  /// Stops the policy thread. No-op if not running. The last posted rate
-  /// stays in effect; post SetShedRate(kShedExactPpm) to restore exactness.
-  void Stop();
-
-  /// Takes one sample, runs the policy, applies any rate change, and
-  /// returns the policy's current rate. This is what the background thread
-  /// runs per tick; tests (and sim drivers) can call it directly with a
-  /// logical timestamp.
-  uint32_t TickNow(uint64_t t_us);
-
-  /// The rate the policy currently holds (ppm).
-  uint32_t rate_ppm() const;
-  /// Every applied rate change so far, in order.
-  std::vector<Action> log() const;
-  /// Count of accepted rate changes.
-  uint64_t rate_changes() const;
-
- private:
-  void Loop();
-  ShedSample BuildSample(uint64_t t_us);
-
-  Operator& op_;
-  const MetricsRegistry* registry_;
-  std::unordered_set<int> joiner_tasks_;
-  ShedPolicy policy_;
-  const Options options_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-  std::function<uint64_t()> backlog_source_;
-
-  // Deltas between ticks (policy-thread state).
-  uint64_t last_t_us_ = 0;
-  uint64_t last_in_tuples_ = 0;
-  uint64_t last_stall_ns_ = 0;
-  bool have_last_ = false;
-
-  mutable std::mutex mu_;  // guards log_ / counters / published rate
-  std::vector<Action> log_;
-  uint64_t rate_changes_ = 0;
-  uint32_t published_rate_ppm_ = static_cast<uint32_t>(kShedExactPpm);
-
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace ajoin

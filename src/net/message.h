@@ -38,14 +38,16 @@ enum class MsgType : uint8_t {
                   // accumulator), row = [key, count(double = sum of
                   // weights), sum(double = sum of weight*value), min(i64),
                   // max(i64), tuples(i64 raw merges)]; AVG = sum/count.
-  kScale,         // operator/autoscaler -> controller reshuffler: elastic
+  kScale,         // operator/control loop -> controller reshuffler: elastic
                   // scale request; key = signed step count (+k = k grow
                   // steps of 4x, -k = k shrink steps of /4). Control: cuts
                   // batches and serializes behind routed data on the
                   // ingress edge.
-  kShed,          // operator/shed controller -> reshufflers -> joiners:
+  kShed,          // operator/control loop -> reshufflers -> joiners:
                   // admission-rate change; key = admitted probe fraction in
-                  // parts-per-million (kShedExactPpm = shedding off).
+                  // parts-per-million (kShedExactPpm = shedding off), seq =
+                  // the operator's increasing request number (joiners drop
+                  // copies not newer than the last one they applied).
                   // Control: cuts batches and serializes behind routed data
                   // on every edge it travels, so a rate change can never
                   // overtake the tuples admitted under the previous rate.

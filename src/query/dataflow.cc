@@ -35,7 +35,6 @@ int Dataflow::AddJoin(const OperatorConfig& config) {
   if (cfg.registry == nullptr) cfg.registry = registry_;
   if (cfg.trace == nullptr) cfg.trace = trace_;
   stage.op = std::make_unique<JoinOperator>(engine_, cfg);
-  stage.registry = cfg.registry;
   stages_.push_back(std::move(stage));
   return static_cast<int>(stages_.size()) - 1;
 }
@@ -46,7 +45,6 @@ int Dataflow::AddGroupBy(const AggConfig& config) {
   if (cfg.registry == nullptr) cfg.registry = registry_;
   if (cfg.trace == nullptr) cfg.trace = trace_;
   stage.agg = std::make_unique<AggOperator>(engine_, cfg);
-  stage.registry = cfg.registry;
   stages_.push_back(std::move(stage));
   return static_cast<int>(stages_.size()) - 1;
 }
@@ -129,80 +127,6 @@ const ResultSink& Dataflow::sink(int handle) const {
   const Stage& stage = stages_[static_cast<size_t>(handle)];
   AJOIN_CHECK_MSG(stage.sink != nullptr, "sink(): not a sink stage");
   return *stage.sink;
-}
-
-AutoscaleController& Dataflow::SetAutoscale(
-    int handle, AutoscaleConfig config, AutoscaleController::Options options) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetAutoscale: unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetAutoscale: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetAutoscale: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
-  AJOIN_CHECK_MSG(stage.autoscale == nullptr,
-                  "SetAutoscale: stage already has a controller");
-  stage.autoscale = std::make_unique<AutoscaleController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
-  return *stage.autoscale;
-}
-
-void Dataflow::StartAutoscale() {
-  for (Stage& stage : stages_) {
-    if (stage.autoscale != nullptr) stage.autoscale->Start();
-  }
-}
-
-void Dataflow::StopAutoscale() {
-  for (Stage& stage : stages_) {
-    if (stage.autoscale != nullptr) stage.autoscale->Stop();
-  }
-}
-
-AutoscaleController& Dataflow::autoscale(int handle) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "autoscale(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.autoscale != nullptr,
-                  "autoscale(): stage has no controller");
-  return *stage.autoscale;
-}
-
-ShedController& Dataflow::SetShedding(int handle, ShedConfig config,
-                                      ShedController::Options options) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "SetShedding: unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.op != nullptr, "SetShedding: not a join stage");
-  AJOIN_CHECK_MSG(stage.registry != nullptr,
-                  "SetShedding: stage has no telemetry registry (call "
-                  "SetTelemetry before AddJoin)");
-  AJOIN_CHECK_MSG(stage.shed == nullptr,
-                  "SetShedding: stage already has a shed controller");
-  stage.shed = std::make_unique<ShedController>(
-      *stage.op, stage.registry, stage.op->joiner_task_ids(), config, options);
-  return *stage.shed;
-}
-
-void Dataflow::StartShedding() {
-  for (Stage& stage : stages_) {
-    if (stage.shed != nullptr) stage.shed->Start();
-  }
-}
-
-void Dataflow::StopShedding() {
-  for (Stage& stage : stages_) {
-    if (stage.shed != nullptr) stage.shed->Stop();
-  }
-}
-
-ShedController& Dataflow::shedding(int handle) {
-  AJOIN_CHECK_MSG(handle >= 0 && handle < static_cast<int>(stages_.size()),
-                  "shedding(): unknown stage");
-  Stage& stage = stages_[static_cast<size_t>(handle)];
-  AJOIN_CHECK_MSG(stage.shed != nullptr,
-                  "shedding(): stage has no shed controller");
-  return *stage.shed;
 }
 
 void Dataflow::FlushInput() {

@@ -27,9 +27,7 @@
 #include <vector>
 
 #include "src/core/agg.h"
-#include "src/core/autoscale.h"
 #include "src/core/operator.h"
-#include "src/core/shed.h"
 #include "src/core/weighted.h"
 #include "src/runtime/task.h"
 
@@ -163,46 +161,6 @@ class Dataflow {
   /// quiescent).
   const ResultSink& sink(int handle) const;
 
-  /// Attaches an elastic-scaling controller to join stage `handle` (see
-  /// src/core/autoscale.h): it watches the stage's joiners through the
-  /// telemetry registry (SetTelemetry first, or a config-supplied registry)
-  /// and grows/shrinks the live grid at runtime. Call after AddJoin and
-  /// before StartAutoscale; returns the controller so callers can bind an
-  /// exchange-stats source for the stall trigger.
-  AutoscaleController& SetAutoscale(
-      int handle, AutoscaleConfig config,
-      AutoscaleController::Options options = {});
-
-  /// Starts every attached autoscale controller's policy thread. Call after
-  /// Engine::Start().
-  void StartAutoscale();
-
-  /// Stops every attached autoscale controller. Call before tearing down
-  /// the engine; idempotent.
-  void StopAutoscale();
-
-  /// The controller attached to stage `handle` (must exist).
-  AutoscaleController& autoscale(int handle);
-
-  /// Attaches an overload-shedding controller to join stage `handle` (see
-  /// src/core/shed.h): it watches the stage's joiners through the telemetry
-  /// registry and adapts the probe-admission rate at runtime. Call after
-  /// AddJoin and before StartShedding; returns the controller so callers
-  /// can bind exchange-stats / ingress-backlog sources for the triggers.
-  ShedController& SetShedding(int handle, ShedConfig config,
-                              ShedController::Options options = {});
-
-  /// Starts every attached shed controller's policy thread. Call after
-  /// Engine::Start().
-  void StartShedding();
-
-  /// Stops every attached shed controller. Call before tearing down the
-  /// engine; idempotent. The last posted rate stays in effect.
-  void StopShedding();
-
-  /// The shed controller attached to stage `handle` (must exist).
-  ShedController& shedding(int handle);
-
   /// Flushes staged input on every join stage (call before WaitQuiescent).
   void FlushInput();
 
@@ -219,9 +177,6 @@ class Dataflow {
     std::unique_ptr<AggOperator> agg;   // null for join/sink stages
     ResultSink* sink = nullptr;         // owned by the engine
     int sink_task = -1;
-    MetricsRegistry* registry = nullptr;  // effective registry for the stage
-    std::unique_ptr<AutoscaleController> autoscale;
-    std::unique_ptr<ShedController> shed;
     bool connected_out = false;
     bool connected_in = false;  // join stages: at most one result edge in
   };

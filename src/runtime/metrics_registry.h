@@ -1,5 +1,7 @@
 // The live telemetry plane (paper §4: the controller only works because it
-// can *observe* the operator). Three pieces:
+// can *observe* the operator). Two pieces here; the reader is ControlLoop
+// (src/core/control_loop.h), which samples the registry into a time series
+// and feeds the scale/shed policies:
 //
 //  * SeqlockCell / TaskTelemetry — a per-task snapshot cell. The owning task
 //    keeps bumping its plain JoinerMetrics/ReshufflerMetrics counters as
@@ -9,12 +11,6 @@
 //  * MetricsRegistry — the directory of every task's cell. Operators
 //    register their tasks at construction; snapshotting walks the directory
 //    and reads each cell.
-//  * TelemetrySampler — samples the registry (plus optional exchange-plane
-//    edge stats and a trace ring) at a fixed period into a ring-buffered
-//    time series, on its own thread under the threaded engine or via
-//    explicit SampleNow calls from the sim driver's drain intervals.
-//    Exports one-line human summaries and stable-schema JSON
-//    (schema_version 1, validated by tools/validate_telemetry.py).
 //
 // Seqlock protocol (TSan-clean): the payload is an array of atomic words so
 // the sanitizer sees every access; the relaxed/fence dance below gives the
@@ -26,19 +22,13 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "src/check/sched.h"
-#include "src/common/trace_ring.h"
-#include "src/exchange/exchange.h"
 #include "src/runtime/metrics.h"
 
 namespace ajoin {
@@ -350,92 +340,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;         // guards the deque structure, not the cells
   std::deque<Slot> slots_;        // deque: stable cell addresses on growth
-};
-
-/// One sampler observation: registry snapshot + optional exchange rollups.
-struct TelemetrySample {
-  uint64_t t_us = 0;
-  std::vector<TaskSnapshot> tasks;
-  std::vector<EdgeStatsSnapshot> edges;  // empty when no edge source is set
-  ExchangeStatsSnapshot exchange;        // zeroed without an exchange source
-};
-
-/// Periodic sampler with ring-buffered time series and structured export.
-class TelemetrySampler {
- public:
-  struct Options {
-    /// Sampling period for the Start()ed background thread.
-    uint64_t period_us = 10000;
-    /// Ring-buffer capacity in samples; older samples are dropped.
-    size_t capacity = 1024;
-  };
-
-  /// The sampler observes `registry` (not owned; must outlive the sampler).
-  TelemetrySampler(const MetricsRegistry* registry, Options options);
-  /// Default options (10 ms period, 1024-sample ring).
-  explicit TelemetrySampler(const MetricsRegistry* registry);
-  ~TelemetrySampler();
-
-  TelemetrySampler(const TelemetrySampler&) = delete;
-  TelemetrySampler& operator=(const TelemetrySampler&) = delete;
-
-  /// Adds per-edge exchange stats to every sample (e.g. bind
-  /// ThreadEngine::edge_stats). Set before sampling starts.
-  void SetEdgeSource(std::function<std::vector<EdgeStatsSnapshot>()> source);
-
-  /// Adds plane-wide exchange stats to every sample (e.g. bind
-  /// ThreadEngine::exchange_stats). Set before sampling starts.
-  void SetExchangeSource(std::function<ExchangeStatsSnapshot()> source);
-
-  /// Attaches a trace ring whose events WriteJson dumps alongside the time
-  /// series. Set before sampling starts; not owned.
-  void SetTraceSource(const TraceRing* trace);
-
-  /// Takes one sample stamped `t_us`, appends it to the series, and returns
-  /// it. This is the sim-engine path (the driver calls it at drain
-  /// intervals with logical time) and also what the background thread runs.
-  TelemetrySample SampleNow(uint64_t t_us);
-
-  /// Starts the background sampling thread (threaded engine). No-op if
-  /// already running.
-  void Start();
-
-  /// Stops the background thread after one final sample, so the series
-  /// always ends with a fresh observation. No-op if not running.
-  void Stop();
-
-  /// Copy of the ring-buffered series, oldest first.
-  std::vector<TelemetrySample> series() const;
-
-  /// Total samples ever taken (including ones the ring has dropped).
-  uint64_t samples_taken() const;
-
-  /// One-line human summary of a sample (tasks rolled up, stall totals).
-  static std::string SummaryLine(const TelemetrySample& sample);
-
-  /// Writes the series (and trace events, if a trace source is attached) as
-  /// stable-schema JSON: {"telemetry": name, "schema_version": 1, "meta":
-  /// {...}, "samples": [...], "trace": [...]}. Returns false on I/O error.
-  bool WriteJson(const std::string& path, const std::string& name) const;
-
- private:
-  void Loop();
-
-  const MetricsRegistry* registry_;
-  const Options options_;
-  std::function<std::vector<EdgeStatsSnapshot>()> edge_source_;
-  std::function<ExchangeStatsSnapshot()> exchange_source_;
-  const TraceRing* trace_ = nullptr;
-
-  mutable std::mutex mu_;              // guards series_ and taken_
-  std::deque<TelemetrySample> series_;
-  uint64_t taken_ = 0;
-
-  std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stop_ = false;
-  bool running_ = false;
 };
 
 }  // namespace ajoin

@@ -63,7 +63,7 @@ class ThreadEngine : public Engine {
   /// Exchange-plane counters.
   ExchangeStatsSnapshot exchange_stats() const;
   /// Per-edge exchange counters and occupancy gauges (empty before Start).
-  /// Callable from any thread — the TelemetrySampler's edge source.
+  /// Callable from any thread — the ControlLoop's edge source.
   std::vector<EdgeStatsSnapshot> edge_stats() const;
 
   /// Eagerly attaches a worker to task `id` if it is currently parked

@@ -530,9 +530,9 @@ bool AllJoinersAtRate(const MetricsRegistry& registry, uint32_t rate) {
 
 TEST(AggShedding, WeightedGroupCountsWithinConfidenceBounds) {
   // 16 keys x 4 R x 400 S = 25600 exact join results, <= 4 matches per
-  // probe — the bounded-match scheme of shed_test.cc, with the HT-weighted
-  // per-key totals now folded by the downstream group-by stage instead of
-  // the sink.
+  // probe — the bounded-match scheme of shed_test.cc (every R stored before
+  // the first S probe), with the HT-weighted per-key totals now folded by
+  // the downstream group-by stage instead of the sink.
   const int64_t kKeys = 16;
   const uint64_t kSPerKey = 400;
   const double kP = 0.25;
@@ -595,7 +595,14 @@ TEST(AggShedding, WeightedGroupCountsWithinConfidenceBounds) {
         ASSERT_TRUE(PollUntil(
             [&] { return AllJoinersAtRate(registry, kRate); }, 10000));
       }
-      for (const StreamTuple& t : stream) flow.join(join).Push(t);
+      // The R phase must be stored everywhere before the first S probe:
+      // the threaded plane keeps order per edge, not across reshufflers.
+      for (size_t i = 0; i < r_end; ++i) flow.join(join).Push(stream[i]);
+      flow.FlushInput();
+      engine->WaitQuiescent();
+      for (size_t i = r_end; i < stream.size(); ++i) {
+        flow.join(join).Push(stream[i]);
+      }
       flow.SendEos();
       engine->WaitQuiescent();
 

@@ -5,10 +5,11 @@
 //    synthetic telemetry traces (surge, flap, sustained overload) and pin
 //    down the exact decision sequences — hysteresis, cooldown, bounds, and
 //    the hard hold while a migration is in flight.
-//  * AutoscaleController unit tests run the sampling loop against a
-//    synthetic MetricsRegistry and a fake operator — no engine — checking
+//  * ControlLoop autoscale unit tests tick the loop against a synthetic
+//    MetricsRegistry and a fake operator — no engine — checking
 //    live-joiner counting via the `active` tombstone flag, input-rate
-//    deltas, and that decisions land as Grow/ShrinkJoiners calls.
+//    deltas, and that decisions land as Grow/ShrinkJoiners calls and in
+//    the decision log.
 //  * The differential suite runs randomized seeded streams through scaling
 //    schedules (grow/shrink interleaved with live ILF migrations,
 //    back-to-back grow→shrink, multi-step jumps) on the deterministic sim
@@ -21,9 +22,9 @@
 //    and the telemetry tombstone regression (retired slots keep their
 //    counters with active=0; scale events reach the trace ring and the
 //    JSON export).
-//  * The end-to-end loop test closes the circle: a live AutoscaleController
-//    on a Dataflow watches real telemetry and scales a running join, and
-//    the output is still exact.
+//  * The end-to-end loop test closes the circle: a live ControlLoop
+//    attached to a Dataflow join stage watches real telemetry and scales
+//    the running join, and the output is still exact.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +44,7 @@
 
 #include "src/common/random.h"
 #include "src/common/trace_ring.h"
-#include "src/core/autoscale.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
 #include "src/query/dataflow.h"
 #include "src/runtime/metrics_registry.h"
@@ -54,6 +55,7 @@ namespace ajoin {
 namespace {
 
 using Decision = AutoscalePolicy::Decision;
+using Action = ControlLoop::Action;
 
 std::vector<StreamTuple> MakeStream(uint64_t n_r, uint64_t n_s,
                                     int64_t key_domain, uint64_t seed) {
@@ -227,7 +229,7 @@ TEST(AutoscalePolicy, StalledIdleRateIsNotIdle) {
   EXPECT_EQ(policy.OnSample(Sample(16, 1, 0.9)), Decision::kGrow);
 }
 
-// ---- AutoscaleController: sampling against a synthetic registry -------------
+// ---- ControlLoop autoscaling: ticks against a synthetic registry ------------
 
 /// Operator stub recording scale requests; everything else is unreachable
 /// in these tests.
@@ -283,34 +285,47 @@ TEST(AutoscaleController, SamplesRegistryAndScalesOperator) {
   cfg.shrink_rate_per_joiner = 0;
   cfg.surge_ticks = 1;
   cfg.cooldown_ticks = 0;
-  AutoscaleController ctl(op, &registry, ids, cfg);
+  ControlLoop loop(&registry);
+  const size_t idx = loop.Autoscale(op, ids, cfg);
 
   // First tick is the delta baseline: no rate yet, no action.
-  EXPECT_EQ(ctl.TickNow(0), Decision::kHold);
+  loop.TickNow(0);
+  EXPECT_TRUE(loop.decisions().empty());
   EXPECT_EQ(op.grow_calls, 0u);
 
   // 100 tuples in one second on a live cell: 100/s > 40/s -> grow.
   m.in_tuples = 100;
   cells[0]->PublishJoiner(m, 0, false, true);
-  EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
+  loop.TickNow(1000000);
   EXPECT_EQ(op.grow_calls, 1u);
-  EXPECT_EQ(ctl.grows(), 1u);
-  ASSERT_EQ(ctl.log().size(), 1u);
-  EXPECT_TRUE(ctl.log()[0].accepted);
-  EXPECT_EQ(ctl.log()[0].sample.live_joiners, 4u);
-  EXPECT_NEAR(ctl.log()[0].sample.input_rate, 100.0, 1e-6);
+  EXPECT_EQ(loop.accepted_count(idx, Action::kGrow), 1u);
+  std::vector<ControlLoop::Decision> log = loop.decisions();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].action, Action::kGrow);
+  EXPECT_EQ(log[0].op, idx);
+  EXPECT_EQ(log[0].t_us, 1000000u);
+  EXPECT_TRUE(log[0].accepted);
+  EXPECT_EQ(log[0].prev, 4u);
+  EXPECT_EQ(log[0].next, 16u);
+  EXPECT_EQ(log[0].signals.live_joiners, 4u);
+  EXPECT_NEAR(log[0].signals.input_rate, 100.0, 1e-6);
 
   // A migrating joiner freezes the policy regardless of the rate.
   m.in_tuples = 300;
   cells[0]->PublishJoiner(m, 1, /*migrating=*/true, true);
-  EXPECT_EQ(ctl.TickNow(2000000), Decision::kHold);
+  loop.TickNow(2000000);
+  EXPECT_EQ(loop.decisions().size(), 1u);
   EXPECT_EQ(op.grow_calls, 1u);
 
-  // Migration over, surge still on: the controller acts again.
+  // Migration over, surge still on: the loop acts again.
   m.in_tuples = 500;
   cells[0]->PublishJoiner(m, 1, false, true);
-  EXPECT_EQ(ctl.TickNow(3000000), Decision::kGrow);
+  loop.TickNow(3000000);
+  log = loop.decisions();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[1].action, Action::kGrow);
   EXPECT_EQ(op.grow_calls, 2u);
+  EXPECT_EQ(loop.samples_taken(), 4u);  // one sample per tick
 }
 
 TEST(AutoscaleController, TombstonedCellsDoNotCountAsLive) {
@@ -336,14 +351,18 @@ TEST(AutoscaleController, TombstonedCellsDoNotCountAsLive) {
   cfg.grow_rate_per_joiner = 1e-3;  // any nonzero rate surges
   cfg.surge_ticks = 1;
   cfg.cooldown_ticks = 0;
-  AutoscaleController ctl(op, &registry, ids, cfg);
-  EXPECT_EQ(ctl.TickNow(0), Decision::kHold);
+  ControlLoop loop(&registry);
+  loop.Autoscale(op, ids, cfg);
+  loop.TickNow(0);
+  EXPECT_TRUE(loop.decisions().empty());
   live.in_tuples = 50;
   cells[0]->PublishJoiner(live, 0, false, true);
-  EXPECT_EQ(ctl.TickNow(1000000), Decision::kGrow);
-  ASSERT_EQ(ctl.log().size(), 1u);
-  EXPECT_EQ(ctl.log()[0].sample.live_joiners, 4u);
-  EXPECT_EQ(ctl.log()[0].sample.per_joiner_stored, 5u);
+  loop.TickNow(1000000);
+  const std::vector<ControlLoop::Decision> log = loop.decisions();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].action, Action::kGrow);
+  EXPECT_EQ(log[0].signals.live_joiners, 4u);
+  EXPECT_EQ(log[0].signals.max_stored, 5u);
 }
 
 // ---- Differential scaling suite ---------------------------------------------
@@ -625,7 +644,7 @@ TEST(AutoscaleThread, DormantSlotsActivateAndRetireWithTheGrid) {
 
 TEST(AutoscaleThread, ContinuousTelemetryDuringElasticScaling) {
   // Tiny batches + a 2-slot credit window while the grid grows and shrinks
-  // under load: a sampler thread and a snapshot-hammering thread race the
+  // under load: a control-loop thread and a snapshot-hammering thread race the
   // scale migrations and worker activations/retirements. Cumulative
   // counters must stay monotone across snapshots and the final snapshot
   // must equal the quiescent harvest — including the tombstoned retirees.
@@ -651,13 +670,13 @@ TEST(AutoscaleThread, ContinuousTelemetryDuringElasticScaling) {
   JoinOperator op(engine, cfg);
   engine.Start();
 
-  TelemetrySampler::Options so;
-  so.period_us = 500;
-  TelemetrySampler sampler(&registry, so);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
+  ControlLoop::Options lo;
+  lo.period_us = 500;
+  ControlLoop loop(&registry, lo);
+  loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  loop.SetTraceSource(&trace);
+  loop.Start();
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> snapshots_taken{0};
@@ -709,11 +728,11 @@ TEST(AutoscaleThread, ContinuousTelemetryDuringElasticScaling) {
   engine.WaitQuiescent();
   done.store(true, std::memory_order_release);
   snapshotter.join();
-  sampler.Stop();
+  loop.Stop();
 
   EXPECT_EQ(non_monotonic, 0);
   EXPECT_GE(snapshots_taken.load(), 1u);
-  EXPECT_GE(sampler.samples_taken(), 2u);
+  EXPECT_GE(loop.samples_taken(), 2u);
 
   uint64_t snap_in = 0, snap_out = 0, snap_stored = 0, snap_migs = 0;
   for (const TaskSnapshot& task : registry.Snapshot()) {
@@ -767,8 +786,8 @@ TEST(AutoscaleTelemetry, RetiredJoinersTombstoneAndTraceScaleEvents) {
   JoinOperator op(engine, cfg);
   engine.Start();
 
-  TelemetrySampler sampler(&registry);
-  sampler.SetTraceSource(&trace);
+  ControlLoop loop(&registry);
+  loop.SetTraceSource(&trace);
 
   const size_t third = stream.size() / 3;
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -793,7 +812,7 @@ TEST(AutoscaleTelemetry, RetiredJoinersTombstoneAndTraceScaleEvents) {
   }
   op.SendEos();
   engine.WaitQuiescent();
-  sampler.SampleNow(engine.NowMicros());
+  loop.TickNow(engine.NowMicros());
 
   // Tombstone contract: exactly the 4 surviving slots are active; retired
   // slots that received data during the expansion keep their cumulative
@@ -828,7 +847,7 @@ TEST(AutoscaleTelemetry, RetiredJoinersTombstoneAndTraceScaleEvents) {
   // the full schema in CI).
   const std::string path =
       testing::TempDir() + "/autoscale_telemetry_test.json";
-  ASSERT_TRUE(sampler.WriteJson(path, "autoscale_test"));
+  ASSERT_TRUE(loop.WriteJson(path, "autoscale_test"));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -841,7 +860,7 @@ TEST(AutoscaleTelemetry, RetiredJoinersTombstoneAndTraceScaleEvents) {
   engine.Shutdown();
 }
 
-// ---- End-to-end: a live controller scales a running dataflow ----------------
+// ---- End-to-end: a live control loop scales a running dataflow --------------
 
 TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   JoinSpec spec = MakeEquiJoin(0, 0);
@@ -873,36 +892,41 @@ TEST(AutoscaleLoop, ControllerScalesLiveDataflowAndOutputStaysExact) {
   ac.surge_ticks = 1;
   ac.idle_ticks = 2;
   ac.cooldown_ticks = 1;
-  AutoscaleController::Options opts;
+  ControlLoop::Options opts;
   opts.period_us = 1000;
-  AutoscaleController& ctl = df.SetAutoscale(join, ac, opts);
-  ctl.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  ControlLoop loop(&registry, opts);
+  JoinOperator& op = df.join(join);
+  const size_t scaled = loop.Autoscale(op, op.joiner_task_ids(), ac);
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  const auto grows = [&] { return loop.accepted_count(scaled, Action::kGrow); };
+  const auto shrinks = [&] {
+    return loop.accepted_count(scaled, Action::kShrink);
+  };
 
   engine.Start();
-  df.StartAutoscale();
+  loop.Start();
 
   // Paced pushes keep the input rate visible across policy ticks; the
-  // controller grows 4 -> 16 (then hits max_live). Guaranteed-progress
+  // loop grows 4 -> 16 (then hits max_live). Guaranteed-progress
   // pacing, not timing assertions: the poll only shortcuts the sleep.
-  JoinOperator& op = df.join(join);
   for (size_t i = 0; i < stream.size(); ++i) {
     op.Push(stream[i]);
-    if (i % 50 == 0 && ctl.grows() == 0) {
+    if (i % 50 == 0 && grows() == 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   }
   df.FlushInput();
-  EXPECT_TRUE(PollUntil([&] { return ctl.grows() >= 1; }, 15000));
+  EXPECT_TRUE(PollUntil([&] { return grows() >= 1; }, 15000));
   // The stream has gone silent: the idle trigger shrinks back down.
-  EXPECT_TRUE(PollUntil([&] { return ctl.shrinks() >= 1; }, 15000));
+  EXPECT_TRUE(PollUntil([&] { return shrinks() >= 1; }, 15000));
 
-  df.StopAutoscale();
+  loop.Stop();
   df.SendEos();
   engine.WaitQuiescent();
 
-  EXPECT_GE(ctl.grows(), 1u);
-  EXPECT_GE(ctl.shrinks(), 1u);
-  EXPECT_FALSE(ctl.log().empty());
+  EXPECT_GE(grows(), 1u);
+  EXPECT_GE(shrinks(), 1u);
+  EXPECT_FALSE(loop.decisions().empty());
   uint64_t ex = 0, co = 0;
   for (const MigrationRecord& rec : op.controller()->log()) {
     if (rec.expansion) ++ex;

@@ -1,13 +1,15 @@
 // Targeted Algorithm 3 tests: a JoinerCore driven directly with crafted
 // message interleavings (early µ before any signal, Δ after partial signals,
-// Δ' racing migration tuples, MigEnd before signals) — orders a real engine
-// may produce but tests cannot force reliably end-to-end.
+// Δ' racing migration tuples, MigEnd before signals, a stale kShed copy
+// after a newer one) — orders a real engine may produce but tests cannot
+// force reliably end-to-end.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "src/common/trace_ring.h"
 #include "src/core/joiner.h"
 #include "src/core/partition.h"
 
@@ -246,6 +248,35 @@ TEST(JoinerProtocol, EosTracking) {
   eos2.type = MsgType::kEos;
   joiner.OnMessage(std::move(eos2), ctx);
   EXPECT_TRUE(joiner.finished());
+}
+
+Envelope Shed(uint64_t request, int64_t rate_ppm) {
+  Envelope env;
+  env.type = MsgType::kShed;
+  env.key = rate_ppm;
+  env.seq = request;
+  return env;
+}
+
+TEST(JoinerProtocol, StaleShedCopyIsIgnored) {
+  // Back-to-back SetShedRate calls: every reshuffler forwards a copy of
+  // each request, so a slower reshuffler's copy of request 1 can reach the
+  // joiner after request 2 — it must not roll the rate back.
+  TraceRing trace(64);
+  JoinerConfig cfg = TwoMachineConfig(0);
+  cfg.trace = &trace;
+  JoinerCore joiner(cfg);
+  CaptureContext ctx(0);
+  joiner.OnMessage(Shed(1, kShedExactPpm / 4), ctx);
+  joiner.OnMessage(Shed(2, kShedExactPpm / 8), ctx);
+  joiner.OnMessage(Shed(2, kShedExactPpm / 8), ctx);  // duplicate copy
+  joiner.OnMessage(Shed(1, kShedExactPpm / 4), ctx);  // stale copy
+  EXPECT_EQ(joiner.shed_rate_ppm(), kShedExactPpm / 8);
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].kind, TraceEventKind::kShedEnter);
+  EXPECT_EQ(events[1].kind, TraceEventKind::kShedRateChange);
+  EXPECT_EQ(events[1].a, static_cast<uint64_t>(kShedExactPpm / 8));
 }
 
 }  // namespace

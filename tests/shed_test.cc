@@ -5,14 +5,17 @@
 //    synthetic samples (sustained stall, backlog surge, flapping load) and
 //    pin down the exact rate sequences — multiplicative backoff, the
 //    min-rate floor, hysteresis, cooldown, and symmetric recovery.
-//  * ShedController unit tests run the sampling loop against a synthetic
+//  * ControlLoop shed unit tests tick the loop against a synthetic
 //    MetricsRegistry and a fake operator — no engine — checking trigger
 //    signal assembly (stall-ratio deltas, backlog gauge) and that decisions
-//    land as SetShedRate calls in the action log.
+//    land as SetShedRate calls in the decision log; two more pin down that
+//    one sample per tick feeds both policies and that Stop() samples
+//    without stepping a policy.
 //  * Propagation tests post a rate through a live JoinOperator and assert
 //    it reaches every joiner (telemetry shed_rate_ppm), emits the right
 //    trace events (shed_enter/shed_exit), and that duplicate kShed copies
-//    fanned through multiple reshufflers are absorbed idempotently.
+//    fanned through multiple reshufflers are absorbed idempotently (a stale
+//    copy arriving late is pinned in tests/joiner_protocol_test.cc).
 //  * The statistical suite runs seeded streams with known per-key result
 //    cardinalities under a fixed admission rate and asserts the
 //    Horvitz-Thompson weighted estimates land inside Bernstein-style
@@ -29,17 +32,19 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/random.h"
 #include "src/common/trace_ring.h"
+#include "src/core/control_loop.h"
 #include "src/core/operator.h"
-#include "src/core/shed.h"
 #include "src/net/message.h"
 #include "src/query/dataflow.h"
 #include "src/runtime/metrics_registry.h"
@@ -50,6 +55,8 @@ namespace ajoin {
 namespace {
 
 constexpr uint32_t kExact = static_cast<uint32_t>(kShedExactPpm);
+
+using Action = ControlLoop::Action;
 
 bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
   const auto deadline =
@@ -157,10 +164,10 @@ TEST(ShedPolicy, BacklogTriggerSheds) {
   EXPECT_EQ(policy.OnSample(Stall(0, 0)), kExact);
 }
 
-// ---- ShedController: sampling against a synthetic registry ------------------
+// ---- ControlLoop shedding: ticks against a synthetic registry ---------------
 
-/// Operator stub recording shed-rate requests; everything else is
-/// unreachable in these tests.
+/// Operator stub recording shed-rate (and grow) requests; everything else
+/// is unreachable in these tests.
 class FakeShedOp : public Operator {
  public:
   void Push(const StreamTuple&) override {}
@@ -171,6 +178,10 @@ class FakeShedOp : public Operator {
   void RouteResultsTo(const std::vector<int>&) override {}
   bool SetShedRate(uint32_t rate_ppm) override {
     rates.push_back(rate_ppm);
+    return accept;
+  }
+  bool GrowJoiners(uint32_t steps) override {
+    grow_calls += steps;
     return accept;
   }
   const JoinerCore& joiner(size_t) const override { std::abort(); }
@@ -185,6 +196,7 @@ class FakeShedOp : public Operator {
   uint64_t TotalStoredBytes() const override { return 0; }
 
   std::vector<uint32_t> rates;
+  uint32_t grow_calls = 0;
   bool accept = true;
 };
 
@@ -202,42 +214,47 @@ TEST(ShedController, StallSignalDrivesSetShedRate) {
   ShedConfig cfg = PolicyConfig();
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
+  ControlLoop loop(&registry);
+  const size_t idx = loop.Shed(op, ids, cfg);
   // Synthetic exchange source: stall_ns jumps 900ms per 1s tick.
   uint64_t stall_ns = 0;
-  ctl.SetExchangeSource([&stall_ns] {
+  loop.SetExchangeSource([&stall_ns] {
     ExchangeStatsSnapshot s;
     s.credit_wait_ns = stall_ns;
     return s;
   });
 
   // First tick is the delta baseline: no ratio yet, no action.
-  EXPECT_EQ(ctl.TickNow(0), kExact);
+  loop.TickNow(0);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact);
   EXPECT_TRUE(op.rates.empty());
 
   stall_ns += 900000000;  // 0.9s stalled over a 1s tick
-  EXPECT_EQ(ctl.TickNow(1000000), kExact / 2);
+  loop.TickNow(1000000);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact / 2);
   ASSERT_EQ(op.rates.size(), 1u);
   EXPECT_EQ(op.rates[0], kExact / 2);
-  EXPECT_EQ(ctl.rate_ppm(), kExact / 2);
-  EXPECT_EQ(ctl.rate_changes(), 1u);
-  ASSERT_EQ(ctl.log().size(), 1u);
-  EXPECT_TRUE(ctl.log()[0].accepted);
-  EXPECT_EQ(ctl.log()[0].prev_rate_ppm, kExact);
-  EXPECT_GE(ctl.log()[0].sample.stall_ratio, 0.85);
-  EXPECT_EQ(ctl.log()[0].sample.live_joiners, 4u);
+  EXPECT_EQ(loop.accepted_count(idx, Action::kShedRate), 1u);
+  std::vector<ControlLoop::Decision> log = loop.decisions();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].action, Action::kShedRate);
+  EXPECT_TRUE(log[0].accepted);
+  EXPECT_EQ(log[0].prev, kExact);
+  EXPECT_EQ(log[0].next, kExact / 2);
+  EXPECT_GE(log[0].signals.stall_ratio, 0.85);
+  EXPECT_EQ(log[0].signals.live_joiners, 4u);
 
   // Calm ticks recover; only the rate *changes* are logged.
-  const size_t changes = ctl.log().size();
-  uint32_t rate = ctl.rate_ppm();
+  const size_t changes = log.size();
+  uint32_t rate = loop.shed_rate_ppm(idx);
   for (int i = 0; i < 20 && rate != kExact; ++i) {
-    rate = ctl.TickNow(2000000 + static_cast<uint64_t>(i) * 1000000);
+    loop.TickNow(2000000 + static_cast<uint64_t>(i) * 1000000);
+    rate = loop.shed_rate_ppm(idx);
   }
   EXPECT_EQ(rate, kExact);
-  EXPECT_GT(ctl.log().size(), changes);
-  for (const ShedController::Action& a : ctl.log()) {
-    EXPECT_NE(a.prev_rate_ppm, a.rate_ppm);
-  }
+  log = loop.decisions();
+  EXPECT_GT(log.size(), changes);
+  for (const ControlLoop::Decision& d : log) EXPECT_NE(d.prev, d.next);
 }
 
 TEST(ShedController, BacklogSourceDrivesTrigger) {
@@ -252,17 +269,23 @@ TEST(ShedController, BacklogSourceDrivesTrigger) {
   cfg.exit_backlog = 10;
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
+  ControlLoop loop(&registry);
+  const size_t idx = loop.Shed(op, ids, cfg);
   uint64_t backlog = 0;
-  ctl.SetBacklogSource([&backlog] { return backlog; });
+  loop.SetBacklogSource([&backlog] { return backlog; });
 
-  EXPECT_EQ(ctl.TickNow(0), kExact);
+  loop.TickNow(0);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact);
   backlog = 500;
-  EXPECT_EQ(ctl.TickNow(1000), kExact / 2);
+  loop.TickNow(1000);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact / 2);
+  ASSERT_EQ(loop.decisions().size(), 1u);
+  EXPECT_EQ(loop.decisions()[0].signals.backlog, 500u);
   backlog = 0;
   uint32_t rate = kExact / 2;
   for (int i = 0; i < 20 && rate != kExact; ++i) {
-    rate = ctl.TickNow(2000 + static_cast<uint64_t>(i) * 1000);
+    loop.TickNow(2000 + static_cast<uint64_t>(i) * 1000);
+    rate = loop.shed_rate_ppm(idx);
   }
   EXPECT_EQ(rate, kExact);
   ASSERT_GE(op.rates.size(), 2u);
@@ -281,15 +304,107 @@ TEST(ShedController, RejectedRequestIsLoggedNotCounted) {
   cfg.enter_backlog = 100;
   cfg.overload_ticks = 1;
   cfg.cooldown_ticks = 0;
-  ShedController ctl(op, &registry, ids, cfg);
-  ctl.SetBacklogSource([] { return uint64_t{500}; });
-  ctl.TickNow(0);
-  ctl.TickNow(1000);
-  ASSERT_FALSE(ctl.log().empty());
-  EXPECT_FALSE(ctl.log()[0].accepted);
-  EXPECT_EQ(ctl.rate_changes(), 0u);
+  ControlLoop loop(&registry);
+  const size_t idx = loop.Shed(op, ids, cfg);
+  loop.SetBacklogSource([] { return uint64_t{500}; });
+  loop.TickNow(0);
+  loop.TickNow(1000);
+  ASSERT_FALSE(loop.decisions().empty());
+  EXPECT_FALSE(loop.decisions()[0].accepted);
+  EXPECT_EQ(loop.accepted_count(idx, Action::kShedRate), 0u);
   // The published rate tracks *accepted* changes only.
-  EXPECT_EQ(ctl.rate_ppm(), kExact);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact);
+}
+
+TEST(ControlLoop, OneSampleFeedsScaleAndShedPolicies) {
+  MetricsRegistry registry;
+  std::vector<int> ids = {20, 21, 22, 23};
+  std::vector<TaskTelemetry*> cells;
+  for (int id : ids) cells.push_back(registry.Register(id, TaskKind::kJoiner));
+  JoinerMetrics m;
+  for (TaskTelemetry* cell : cells) cell->PublishJoiner(m, 0, false, true);
+
+  FakeShedOp op;
+  AutoscaleConfig ac;
+  ac.grow_stall_ratio = 0;
+  ac.grow_rate_per_joiner = 10;  // 4 live -> threshold 40/s
+  ac.surge_ticks = 1;
+  ac.cooldown_ticks = 0;
+  ShedConfig sc;
+  sc.enter_stall_ratio = 0;
+  sc.enter_backlog = 100;
+  sc.overload_ticks = 1;
+  sc.cooldown_ticks = 0;
+  ControlLoop loop(&registry);
+  const size_t scaled = loop.Autoscale(op, ids, ac);
+  EXPECT_EQ(loop.Shed(op, ids, sc), scaled);  // one operator, one index
+  loop.SetBacklogSource([] { return uint64_t{500}; });
+
+  loop.TickNow(0);        // baseline: no rate yet, but the backlog sheds
+  m.in_tuples = 100;      // 100/s > 40/s: the surge grows
+  cells[0]->PublishJoiner(m, 0, false, true);
+  loop.TickNow(1000000);
+  EXPECT_EQ(loop.samples_taken(), 2u);
+  EXPECT_EQ(op.grow_calls, 1u);
+  EXPECT_EQ(op.rates, (std::vector<uint32_t>{kExact / 2, kExact / 4}));
+
+  const std::vector<ControlLoop::Decision> log = loop.decisions();
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[0].action, Action::kShedRate);
+  EXPECT_EQ(log[1].action, Action::kGrow);
+  EXPECT_EQ(log[2].action, Action::kShedRate);
+  // Both policies saw the same signals, derived once from the tick's sample.
+  EXPECT_EQ(log[1].t_us, log[2].t_us);
+  EXPECT_EQ(log[1].op, log[2].op);
+  EXPECT_EQ(log[1].signals.input_rate, log[2].signals.input_rate);
+  EXPECT_EQ(log[1].signals.backlog, 500u);
+  EXPECT_EQ(log[2].signals.backlog, 500u);
+  EXPECT_NEAR(log[2].signals.input_rate, 100.0, 1e-6);
+
+  // The export carries the decision log with signals and thresholds.
+  const std::string path = testing::TempDir() + "/control_loop_test.json";
+  ASSERT_TRUE(loop.WriteJson(path, "control_loop_test"));
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  std::string blob(1 << 16, '\0');
+  blob.resize(std::fread(&blob[0], 1, blob.size(), f));
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_NE(blob.find("\"decisions\": ["), std::string::npos);
+  EXPECT_NE(blob.find("\"action\": \"grow\""), std::string::npos);
+  EXPECT_NE(blob.find("\"action\": \"shed_rate\""), std::string::npos);
+  EXPECT_NE(blob.find("\"grow_rate_per_joiner\": 10"), std::string::npos);
+  EXPECT_NE(blob.find("\"enter_backlog\": 100"), std::string::npos);
+  EXPECT_NE(blob.find("\"backlog\": 500"), std::string::npos);
+}
+
+TEST(ControlLoop, StopSamplesWithoutSteppingPolicies) {
+  MetricsRegistry registry;
+  std::vector<int> ids = {7};
+  registry.Register(7, TaskKind::kJoiner)
+      ->PublishJoiner(JoinerMetrics{}, 0, false, true);
+  FakeShedOp op;
+  ShedConfig cfg;
+  cfg.enter_stall_ratio = 0;
+  cfg.enter_backlog = 100;
+  cfg.overload_ticks = 1;  // every stepped tick under backlog sheds
+  cfg.cooldown_ticks = 0;
+  ControlLoop::Options opts;
+  opts.period_us = 60000000;  // the thread ticks once, at Start()
+  ControlLoop loop(&registry, opts);
+  const size_t idx = loop.Shed(op, ids, cfg);
+  loop.SetBacklogSource([] { return uint64_t{500}; });
+  loop.Start();
+  ASSERT_TRUE(PollUntil([&] { return loop.decisions().size() == 1; }, 10000));
+  loop.Stop();
+  // Stop() added a fresh sample but stepped no policy: a stepped tick
+  // would have halved the rate again.
+  EXPECT_EQ(loop.samples_taken(), 2u);
+  EXPECT_EQ(loop.decisions().size(), 1u);
+  EXPECT_EQ(op.rates.size(), 1u);
+  EXPECT_EQ(loop.shed_rate_ppm(idx), kExact / 2);
+  loop.Stop();  // idempotent
+  EXPECT_EQ(loop.samples_taken(), 2u);
 }
 
 // ---- Propagation: kShed reaches every joiner --------------------------------
@@ -430,9 +545,15 @@ TEST(ShedPropagation, SkippedProbesShowUpInTelemetry) {
 
 /// A stream engineered for tight variance bounds: `keys` join keys, each
 /// with exactly 4 R-tuples first, then `s_per_key` S-tuples (shuffled
-/// within each phase). Pushing all R before any S means every R-probe
-/// matches nothing and every S-probe matches at most 4 stored R-tuples —
-/// the per-probe match count that drives the Bernstein bound.
+/// within each phase). When every R-tuple is stored before the first
+/// S-probe, each R-probe matches nothing and each S-probe matches at most 4
+/// stored R-tuples — the per-probe match count that drives the Bernstein
+/// bound. Push order alone does not guarantee that: a threaded plane keeps
+/// order per edge, not across reshufflers, so an R-tuple can reach its
+/// joiner after hundreds of same-key S-tuples, and one admitted R-probe
+/// then carries hundreds of results. Callers push the first 4 * `keys`
+/// tuples (the R phase), then FlushInput() and WaitQuiescent(), then the
+/// rest.
 std::vector<StreamTuple> MakeBoundedMatchStream(int64_t keys,
                                                 uint64_t s_per_key,
                                                 uint64_t seed) {
@@ -550,7 +671,13 @@ TEST(ShedStatistics, WeightedPerKeyEstimatesWithinConfidenceBounds) {
             },
             10000));
       }
-      for (const StreamTuple& t : stream) op.Push(t);
+      // R phase stored everywhere before the first S probe (see
+      // MakeBoundedMatchStream).
+      const size_t r_count = static_cast<size_t>(kKeys) * 4;
+      for (size_t i = 0; i < r_count; ++i) op.Push(stream[i]);
+      op.FlushInput();
+      engine->WaitQuiescent();
+      for (size_t i = r_count; i < stream.size(); ++i) op.Push(stream[i]);
       op.SendEos();
       engine->WaitQuiescent();
 
@@ -646,7 +773,7 @@ TEST(ShedDifferential, DisabledSheddingIsByteIdenticalAcrossPlanes) {
   }
 }
 
-// ---- End-to-end loop: controller sheds a live dataflow ----------------------
+// ---- End-to-end: a live control loop sheds a running dataflow ---------------
 
 TEST(ShedLoop, ControllerShedsAndRecoversLiveDataflow) {
   JoinSpec spec = MakeEquiJoin(0, 0);
@@ -673,33 +800,37 @@ TEST(ShedLoop, ControllerShedsAndRecoversLiveDataflow) {
   sc.overload_ticks = 1;
   sc.recover_ticks = 1;
   sc.cooldown_ticks = 0;
-  ShedController::Options opts;
+  ControlLoop::Options opts;
   opts.period_us = 500;
-  ShedController& ctl = df.SetShedding(join, sc, opts);
+  ControlLoop loop(&registry, opts);
+  JoinOperator& op = df.join(join);
+  const size_t shed = loop.Shed(op, op.joiner_task_ids(), sc);
   std::atomic<uint64_t> backlog{0};
-  ctl.SetBacklogSource(
+  loop.SetBacklogSource(
       [&backlog] { return backlog.load(std::memory_order_relaxed); });
 
   engine.Start();
-  df.StartShedding();
-  JoinOperator& op = df.join(join);
+  loop.Start();
   const size_t half = stream.size() / 2;
   for (size_t i = 0; i < half; ++i) op.Push(stream[i]);
-  // Overload: the controller backs the rate off and the joiners follow.
+  // Overload: the loop backs the rate off and the joiners follow.
   backlog.store(100000, std::memory_order_relaxed);
-  EXPECT_TRUE(PollUntil([&] { return ctl.rate_ppm() < kExact; }, 15000));
+  EXPECT_TRUE(
+      PollUntil([&] { return loop.shed_rate_ppm(shed) < kExact; }, 15000));
   EXPECT_TRUE(PollUntil(
-      [&] { return AllJoinersAtRate(registry, ctl.rate_ppm()); }, 15000));
+      [&] { return AllJoinersAtRate(registry, loop.shed_rate_ppm(shed)); },
+      15000));
   for (size_t i = half; i < stream.size(); ++i) op.Push(stream[i]);
-  // Recovery: backlog drained, the controller restores exactness.
+  // Recovery: backlog drained, the loop restores exactness.
   backlog.store(0, std::memory_order_relaxed);
-  EXPECT_TRUE(PollUntil([&] { return ctl.rate_ppm() == kExact; }, 15000));
-  df.StopShedding();
+  EXPECT_TRUE(
+      PollUntil([&] { return loop.shed_rate_ppm(shed) == kExact; }, 15000));
+  loop.Stop();
   df.SendEos();
   engine.WaitQuiescent();
 
-  EXPECT_GE(ctl.rate_changes(), 2u);
-  EXPECT_FALSE(ctl.log().empty());
+  EXPECT_GE(loop.accepted_count(shed, Action::kShedRate), 2u);
+  EXPECT_FALSE(loop.decisions().empty());
   EXPECT_GE(CountTraceKind(trace, TraceEventKind::kShedEnter), 4u);
   EXPECT_GE(CountTraceKind(trace, TraceEventKind::kShedExit), 4u);
   // Sampled + exact output is a subset of the reference join, never more.

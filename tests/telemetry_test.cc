@@ -1,8 +1,8 @@
 // Telemetry plane: seqlock snapshot cells, the task registry, the trace
-// ring, per-edge backpressure counters, and the sampler — including the
-// TSan stress case: continuous registry snapshots + edge stats + trace
-// reads while a 4-joiner adaptive workload runs live migrations on the
-// tiny-batch/tiny-ring exchange config.
+// ring, per-edge backpressure counters, and the control loop's sample
+// series — including the TSan stress case: continuous registry snapshots +
+// edge stats + trace reads while a 4-joiner adaptive workload runs live
+// migrations on the tiny-batch/tiny-ring exchange config.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "src/common/random.h"
 #include "src/common/trace_ring.h"
+#include "src/core/control_loop.h"
 #include "src/core/driver.h"
 #include "src/core/operator.h"
 #include "src/datagen/workloads.h"
@@ -142,7 +143,7 @@ TEST(MetricsTraceRing, WrapKeepsMostRecentEvents) {
   }
 }
 
-// ---- Sampler series + export ------------------------------------------------
+// ---- Control-loop series + export -------------------------------------------
 
 TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   MetricsRegistry registry;
@@ -153,13 +154,13 @@ TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   m.stored_tuples = 4;
   cell->PublishJoiner(m, /*epoch=*/2, /*migrating=*/false, /*active=*/true);
 
-  TelemetrySampler::Options opts;
+  ControlLoop::Options opts;
   opts.period_us = 1000;
   opts.capacity = 4;
-  TelemetrySampler sampler(&registry, opts);
-  for (uint64_t t = 0; t < 10; ++t) sampler.SampleNow(t * 1000);
-  EXPECT_EQ(sampler.samples_taken(), 10u);
-  std::vector<TelemetrySample> series = sampler.series();
+  ControlLoop loop(&registry, opts);
+  for (uint64_t t = 0; t < 10; ++t) loop.TickNow(t * 1000);
+  EXPECT_EQ(loop.samples_taken(), 10u);
+  std::vector<TelemetrySample> series = loop.series();
   ASSERT_EQ(series.size(), 4u);  // ring dropped the six oldest
   EXPECT_EQ(series.front().t_us, 6000u);
   EXPECT_EQ(series.back().t_us, 9000u);
@@ -167,12 +168,12 @@ TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   EXPECT_EQ(series.back().tasks[0].joiner.in_tuples, 7u);
   EXPECT_EQ(series.back().tasks[0].joiner.epoch, 2u);
 
-  const std::string line = TelemetrySampler::SummaryLine(series.back());
+  const std::string line = ControlLoop::SummaryLine(series.back());
   EXPECT_NE(line.find("1J+0R"), std::string::npos) << line;
   EXPECT_NE(line.find("in=7"), std::string::npos) << line;
 
   const char* path = "telemetry_test_export.json";
-  ASSERT_TRUE(sampler.WriteJson(path, "unit"));
+  ASSERT_TRUE(loop.WriteJson(path, "unit"));
   std::FILE* f = std::fopen(path, "r");
   ASSERT_NE(f, nullptr);
   std::string blob(1 << 16, '\0');
@@ -182,6 +183,7 @@ TEST(TelemetrySampler, SeriesRingAndJsonExport) {
   EXPECT_NE(blob.find("\"schema_version\": 1"), std::string::npos);
   EXPECT_NE(blob.find("\"in_tuples\": 7"), std::string::npos);
   EXPECT_NE(blob.find("\"samples\""), std::string::npos);
+  EXPECT_NE(blob.find("\"decisions\": [\n  ]"), std::string::npos);
   EXPECT_NE(blob.find("\"trace\""), std::string::npos);
 }
 
@@ -203,13 +205,13 @@ TEST(TelemetrySim, DrainIntervalSamplerMatchesQuiescentHarvest) {
   JoinOperator op(engine, config);
   engine.Start();
 
-  TelemetrySampler sampler(&registry);
+  ControlLoop loop(&registry);
   RunOptions opts;
   opts.snapshots = 10;
-  opts.sampler = &sampler;
+  opts.control = &loop;
   RunResult r = RunWorkload(engine, op, w, opts);
 
-  std::vector<TelemetrySample> series = sampler.series();
+  std::vector<TelemetrySample> series = loop.series();
   ASSERT_GE(series.size(), 10u);
 
   // Cumulative counters only grow across drain-interval samples.
@@ -398,8 +400,8 @@ TEST(TelemetryThread, ContinuousSnapshotsDuringMigrations) {
   // The TSan stress case: tiny batches + a 2-slot credit window so size
   // flushes, deadline flushes, and credit stalls interleave with live
   // migrations, while (a) a dedicated thread hammers registry snapshots,
-  // edge stats, and trace reads, and (b) the sampler thread samples on its
-  // own cadence. Per-task cumulative counters must be monotone across
+  // edge stats, and trace reads, and (b) the control-loop thread samples
+  // on its own cadence. Per-task cumulative counters must be monotone across
   // snapshots, and the final snapshot must equal the quiescent harvest.
   JoinSpec spec = MakeEquiJoin(0, 0);
   auto stream = MakeStream(1500, 4500, 24, 91);
@@ -422,13 +424,13 @@ TEST(TelemetryThread, ContinuousSnapshotsDuringMigrations) {
   JoinOperator op(engine, cfg);
   engine.Start();
 
-  TelemetrySampler::Options so;
-  so.period_us = 500;
-  TelemetrySampler sampler(&registry, so);
-  sampler.SetEdgeSource([&engine] { return engine.edge_stats(); });
-  sampler.SetExchangeSource([&engine] { return engine.exchange_stats(); });
-  sampler.SetTraceSource(&trace);
-  sampler.Start();
+  ControlLoop::Options lo;
+  lo.period_us = 500;
+  ControlLoop loop(&registry, lo);
+  loop.SetEdgeSource([&engine] { return engine.edge_stats(); });
+  loop.SetExchangeSource([&engine] { return engine.exchange_stats(); });
+  loop.SetTraceSource(&trace);
+  loop.Start();
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> snapshots_taken{0};
@@ -459,11 +461,11 @@ TEST(TelemetryThread, ContinuousSnapshotsDuringMigrations) {
   engine.WaitQuiescent();
   done.store(true, std::memory_order_release);
   snapshotter.join();
-  sampler.Stop();
+  loop.Stop();
 
   EXPECT_EQ(non_monotonic, 0);
   EXPECT_GE(snapshots_taken.load(), 1u);
-  EXPECT_GE(sampler.samples_taken(), 2u);
+  EXPECT_GE(loop.samples_taken(), 2u);
 
   // Final snapshot == quiescent harvest (every publish epilogue ran).
   uint64_t snap_in = 0, snap_out = 0, snap_stored = 0, snap_migs = 0;

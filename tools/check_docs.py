@@ -18,10 +18,12 @@
    contract, migration-aware cell moves, EOS flush barrier),
    FlatHashIndex in src/index/flat_index.h and JoinIndex in
    src/localjoin/join_index.h (probe-order guarantees, Reserve semantics,
-   ProbeRun pipeline contract), MetricsRegistry/TelemetrySampler in
-   src/runtime/metrics_registry.h and TraceRing in src/common/trace_ring.h
-   (threading rules of the observability plane: who may publish, who may
-   read, what is lock-free). An undocumented method is a contract hole.
+   ProbeRun pipeline contract), MetricsRegistry in
+   src/runtime/metrics_registry.h, ControlLoop in src/core/control_loop.h
+   and TraceRing in src/common/trace_ring.h (threading rules of the
+   observability plane and the control loop: who may publish, who may
+   read, what is lock-free, when policies step). An undocumented method is
+   a contract hole.
 
 Exit code 0 = clean; 1 = findings (printed one per line).
 """
@@ -87,7 +89,8 @@ API_SURFACES = (
     ("src/index/agg_table.h", ("AggTable",)),
     ("src/index/flat_index.h", ("FlatHashIndex",)),
     ("src/localjoin/join_index.h", ("JoinIndex",)),
-    ("src/runtime/metrics_registry.h", ("MetricsRegistry", "TelemetrySampler")),
+    ("src/runtime/metrics_registry.h", ("MetricsRegistry",)),
+    ("src/core/control_loop.h", ("ControlLoop",)),
     ("src/common/trace_ring.h", ("TraceRing",)),
     ("src/check/model.h", ("ModelAtomic",)),
     ("src/check/invariants.h", ("FifoChecker", "TornReadChecker")),

@@ -1,32 +1,44 @@
 #!/usr/bin/env python3
-"""Validates a TelemetrySampler JSON export against schema_version 1.
+"""Validates a ControlLoop JSON export against schema_version 1.
 
-Run by the CI telemetry smoke step against the file
-example_fluctuating_streams writes, and usable locally against any
-TelemetrySampler::WriteJson output:
+Run by the CI telemetry smoke steps against the files
+example_fluctuating_streams and example_tpch_pipeline write, and usable
+locally against any ControlLoop::WriteJson output:
 
     python3 tools/validate_telemetry.py telemetry.json [--require-edges]
 
 Checks:
-  * top level: telemetry (string), schema_version == 1, meta, samples, trace
+  * top level: telemetry (string), schema_version == 1, meta, samples,
+    decisions, trace
   * meta: period_us, capacity, samples_taken, samples_kept, tasks — all
     non-negative integers, samples_kept == len(samples) <= samples_taken
-  * every sample: t_us, an exchange rollup, a tasks array (joiner entries
-    carry the full counter set incl. epoch/migrating, reshuffler entries the
-    routing counters, agg entries the group-by counters incl. groups /
-    table_bytes / flushed), and an edges array whose entries carry the
-    backpressure fields (credit_waits, credit_wait_ns, ring_occupancy,
+  * every sample: t_us, backlog, an exchange rollup, a tasks array (joiner
+    entries carry the full counter set incl. epoch/migrating, reshuffler
+    entries the routing counters, agg entries the group-by counters incl.
+    groups / table_bytes / flushed), and an edges array whose entries carry
+    the backpressure fields (credit_waits, credit_wait_ns, ring_occupancy,
     ring_peak, ring_capacity, overflow_depth)
   * per-task cumulative counters are monotone across samples
+  * every decision: t_us, op, action (grow / shrink / shed_rate), prev,
+    next, accepted (0/1), the signals the policy saw (live_joiners,
+    migrating, stall_ratio, input_rate, max_stored, backlog) and its
+    thresholds (the AutoscaleConfig or ShedConfig fields); prev -> next
+    must be the policy's step (grow: live * 4, shrink: live / 4, shed: one
+    shed_factor step within [min_rate_ppm, 1000000]), and the signals must
+    cross the thresholds that step requires (grow: stall or rate surge,
+    shrink: idle, shed down: stall or backlog overload, shed up: calm), so
+    every decision is explained by its own entry
   * every trace event: index, a known kind, task, t_us, a, b; non-object
     entries and unknown kind strings are reported as failures, never
     skipped
   * --require-edges: at least one sample must carry a non-empty edges array
     (threaded exports; sim-engine exports have no exchange plane)
   * --require-scale-events: the trace must carry at least one scale_grow and
-    one scale_shrink event (elastic-autoscaling smoke runs)
+    one scale_shrink event, and the decision log an accepted grow and an
+    accepted shrink (elastic-autoscaling smoke runs)
   * --require-shed-events: the trace must carry at least one shed_enter
-    event and some joiner sample must report a shed rate below 1000000 ppm
+    event, some joiner sample must report a shed rate below 1000000 ppm,
+    and the decision log must carry an accepted shed_rate decision
     (overload-shedding smoke runs)
   * --require-agg-tasks: some sample must carry at least one agg task, and
     the final sample's agg tasks must all report flushed == 1 (group-by
@@ -39,7 +51,7 @@ import argparse
 import json
 import sys
 
-SAMPLE_KEYS = ("t_us", "exchange", "tasks", "edges")
+SAMPLE_KEYS = ("t_us", "backlog", "exchange", "tasks", "edges")
 EXCHANGE_KEYS = ("envelopes", "batches", "credit_waits", "credit_wait_ns",
                  "overflow_batches")
 JOINER_KEYS = ("in_tuples", "in_bytes", "probe_candidates", "output_tuples",
@@ -64,6 +76,19 @@ TRACE_KINDS = ("epoch_change", "migration_begin", "migration_finalize",
                "credit_stall", "scale_grow", "scale_shrink", "shed_enter",
                "shed_exit", "shed_rate_change")
 EXACT_PPM = 1000000  # shed_rate_ppm at or above this means shedding is off
+DECISION_KEYS = ("t_us", "op", "prev", "next")
+ACTIONS = ("grow", "shrink", "shed_rate")
+SIGNAL_KEYS = ("live_joiners", "migrating", "stall_ratio", "input_rate",
+               "max_stored", "backlog")
+AUTOSCALE_THRESHOLDS = ("min_live", "max_live", "grow_stall_ratio",
+                        "grow_rate_per_joiner", "shrink_rate_per_joiner",
+                        "surge_ticks", "idle_ticks", "cooldown_ticks")
+SHED_THRESHOLDS = ("enter_stall_ratio", "exit_stall_ratio", "enter_backlog",
+                   "exit_backlog", "overload_ticks", "recover_ticks",
+                   "cooldown_ticks", "min_rate_ppm", "shed_factor")
+# Doubles are exported with 6 significant digits: compare ratios and rates
+# against their thresholds with that much relative slack.
+REL_TOL = 1e-5
 
 
 def require(errors, cond, msg):
@@ -111,6 +136,98 @@ def check_sample(errors, sample, i):
             check_counter(errors, edge, key, ewhere)
 
 
+def at_least(value, threshold):
+    return value >= threshold * (1 - REL_TOL)
+
+
+def at_most(value, threshold):
+    return value <= threshold * (1 + REL_TOL) + 1e-12
+
+
+def explain_scale(sig, thr, action, prev, nxt):
+    """Why AutoscalePolicy took `action` on these signals; None if it
+    could not have (see AutoscalePolicy::OnSample)."""
+    live = sig["live_joiners"]
+    if sig["migrating"] != 0:
+        return None
+    stalled = (thr["grow_stall_ratio"] > 0
+               and at_least(sig["stall_ratio"], thr["grow_stall_ratio"]))
+    if action == "grow":
+        surge = (thr["grow_rate_per_joiner"] > 0
+                 and at_least(sig["input_rate"],
+                              thr["grow_rate_per_joiner"] * live))
+        if (stalled or surge) and prev == live and nxt == live * 4 \
+                and live * 4 <= thr["max_live"]:
+            return "stall" if stalled else "rate"
+        return None
+    not_stalled = (thr["grow_stall_ratio"] == 0
+                   or at_most(sig["stall_ratio"], thr["grow_stall_ratio"]))
+    idle = (not_stalled and thr["shrink_rate_per_joiner"] > 0
+            and at_most(sig["input_rate"],
+                        thr["shrink_rate_per_joiner"] * live))
+    if idle and prev == live and nxt == live // 4 and live % 4 == 0 \
+            and live // 4 >= thr["min_live"]:
+        return "idle"
+    return None
+
+
+def explain_shed(sig, thr, prev, nxt):
+    """Why ShedPolicy moved the rate prev -> nxt on these signals; None if
+    it could not have (see ShedPolicy::OnSample)."""
+    factor = max(2, thr["shed_factor"])
+    floor = max(1, thr["min_rate_ppm"])
+    if nxt < prev:
+        stalled = (thr["enter_stall_ratio"] > 0
+                   and at_least(sig["stall_ratio"], thr["enter_stall_ratio"]))
+        backlogged = (thr["enter_backlog"] > 0
+                      and sig["backlog"] >= thr["enter_backlog"])
+        if (stalled or backlogged) and nxt == max(prev // factor, floor):
+            return "stall" if stalled else "backlog"
+        return None
+    calm = (at_most(sig["stall_ratio"], thr["exit_stall_ratio"])
+            and (thr["enter_backlog"] == 0
+                 or sig["backlog"] <= thr["exit_backlog"]))
+    if calm and prev < EXACT_PPM and nxt == min(prev * factor, EXACT_PPM):
+        return "calm"
+    return None
+
+
+def check_decision(errors, decision, i):
+    where = f"decisions[{i}]"
+    if not isinstance(decision, dict):
+        errors.append(f"{where}: not an object")
+        return
+    for key in DECISION_KEYS:
+        check_counter(errors, decision, key, where)
+    action = decision.get("action")
+    require(errors, action in ACTIONS, f"{where}: bad action {action!r}")
+    require(errors, decision.get("accepted") in (0, 1),
+            f"{where}: 'accepted' is not 0 or 1")
+    sig = decision.get("signals")
+    thr = decision.get("thresholds")
+    if not isinstance(sig, dict) or not isinstance(thr, dict):
+        errors.append(f"{where}: missing 'signals' or 'thresholds' object")
+        return
+    for key in SIGNAL_KEYS:
+        check_counter(errors, sig, key, f"{where}.signals")
+    for key in (SHED_THRESHOLDS if action == "shed_rate"
+                else AUTOSCALE_THRESHOLDS):
+        check_counter(errors, thr, key, f"{where}.thresholds")
+    if errors or action not in ACTIONS:
+        return  # the consistency check below needs a well-formed entry
+    prev, nxt = decision["prev"], decision["next"]
+    if action == "shed_rate":
+        require(errors, 0 < prev <= EXACT_PPM and 0 < nxt <= EXACT_PPM
+                and prev != nxt,
+                f"{where}: shed rate {prev} -> {nxt} out of range")
+        reason = explain_shed(sig, thr, prev, nxt)
+    else:
+        reason = explain_scale(sig, thr, action, prev, nxt)
+    require(errors, reason is not None,
+            f"{where}: {action} {prev} -> {nxt} is not explained by its "
+            f"signals {sig} and thresholds {thr}")
+
+
 def check_monotone(errors, samples):
     prev = {}
     for i, sample in enumerate(samples):
@@ -137,16 +254,18 @@ def check_monotone(errors, samples):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("path", help="TelemetrySampler::WriteJson output")
+    parser.add_argument("path", help="ControlLoop::WriteJson output")
     parser.add_argument("--require-edges", action="store_true",
                         help="fail unless some sample has per-edge stats")
     parser.add_argument("--require-scale-events", action="store_true",
                         help="fail unless the trace has at least one "
-                             "scale_grow and one scale_shrink event")
+                             "scale_grow and one scale_shrink event and the "
+                             "decision log an accepted grow and shrink")
     parser.add_argument("--require-shed-events", action="store_true",
-                        help="fail unless the trace has a shed_enter event "
-                             "and some joiner sample reports an active shed "
-                             "rate")
+                        help="fail unless the trace has a shed_enter event, "
+                             "some joiner sample reports an active shed "
+                             "rate, and the decision log an accepted "
+                             "shed_rate decision")
     parser.add_argument("--require-agg-tasks", action="store_true",
                         help="fail unless some sample carries agg tasks and "
                              "the final sample's agg tasks all report "
@@ -169,6 +288,9 @@ def main():
     require(errors, isinstance(meta, dict), "top level: missing 'meta'")
     samples = doc.get("samples")
     require(errors, isinstance(samples, list), "top level: missing 'samples'")
+    decisions = doc.get("decisions")
+    require(errors, isinstance(decisions, list),
+            "top level: missing 'decisions'")
     trace = doc.get("trace")
     require(errors, isinstance(trace, list), "top level: missing 'trace'")
     if errors:
@@ -191,6 +313,11 @@ def main():
         check_sample(errors, sample, i)
     check_monotone(errors, samples)
 
+    for i, decision in enumerate(decisions):
+        decision_errors = []
+        check_decision(decision_errors, decision, i)
+        errors += decision_errors
+
     for i, event in enumerate(trace):
         where = f"trace[{i}]"
         if not isinstance(event, dict):
@@ -208,11 +335,17 @@ def main():
 
     kinds = {event.get("kind") for event in trace
              if isinstance(event, dict)}
+    accepted = {d.get("action") for d in decisions
+                if isinstance(d, dict) and d.get("accepted") == 1}
     if args.require_scale_events:
         require(errors, "scale_grow" in kinds,
                 "--require-scale-events: no scale_grow trace event")
         require(errors, "scale_shrink" in kinds,
                 "--require-scale-events: no scale_shrink trace event")
+        require(errors, "grow" in accepted,
+                "--require-scale-events: no accepted grow decision")
+        require(errors, "shrink" in accepted,
+                "--require-scale-events: no accepted shrink decision")
 
     if args.require_shed_events:
         require(errors, "shed_enter" in kinds,
@@ -225,6 +358,8 @@ def main():
         require(errors, shed_seen,
                 "--require-shed-events: no joiner sample reports an active "
                 "shed rate (shed_rate_ppm < 1000000)")
+        require(errors, "shed_rate" in accepted,
+                "--require-shed-events: no accepted shed_rate decision")
 
     if args.require_agg_tasks:
         agg_seen = any(
@@ -250,7 +385,8 @@ def main():
         return 1
     n_tasks = max((len(s.get("tasks", [])) for s in samples), default=0)
     print(f"telemetry schema valid: {len(samples)} samples, "
-          f"{n_tasks} tasks, {len(trace)} trace events")
+          f"{n_tasks} tasks, {len(decisions)} decisions, "
+          f"{len(trace)} trace events")
     return 0
 
 
