@@ -163,8 +163,12 @@ void ControlLoop::Step(size_t index, uint64_t t_us, const Signals& s) {
     sample.backlog = s.backlog;
     sample.input_rate = s.input_rate;
     sample.live_joiners = s.live_joiners;
+    // Step a copy and keep it only if the operator runs the rate it chose:
+    // after a refused change the policy stays where the joiners are, so the
+    // next tick retries instead of stepping on from a rate never applied.
+    ShedPolicy next = *a.shed;
     const uint32_t prev = a.shed->rate_ppm();
-    const uint32_t rate = a.shed->OnSample(sample);
+    const uint32_t rate = next.OnSample(sample);
     if (rate != prev) {
       rec.action = Action::kShedRate;
       rec.prev = prev;
@@ -173,6 +177,7 @@ void ControlLoop::Step(size_t index, uint64_t t_us, const Signals& s) {
       std::lock_guard<std::mutex> lock(mu_);
       decisions_.push_back(rec);
     }
+    if (rate == prev || rec.accepted) *a.shed = next;
   }
 }
 

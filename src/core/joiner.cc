@@ -64,61 +64,34 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
 
 void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // Fall back to per-envelope semantics for everything that is not a
-  // steady-state data batch: control singletons, µ (kMigrate) batches, and
-  // any batch that arrives while a migration is active. A migration cannot
-  // start mid-batch — kReshufSignal is control and therefore always a
-  // singleton batch — so checking migrating_ once up front is sound.
-  if (migrating_ || batch.empty()) {
+  // steady-state batch of stored data: control singletons, µ (kMigrate)
+  // batches, batches holding a probe-only tuple (a cross-group probe must
+  // see exactly the stores that precede it on its edge, and is never stored
+  // for a later tuple to find), and any batch that arrives while a
+  // migration is active. A migration cannot start mid-batch — kReshufSignal
+  // is control and therefore always a singleton batch — so checking
+  // migrating_ once up front is sound.
+  const bool steady =
+      !migrating_ && !batch.empty() &&
+      std::all_of(batch.items.begin(), batch.items.end(),
+                  [](const Envelope& msg) {
+                    return msg.type == MsgType::kData && msg.store;
+                  });
+  if (!steady) {
     Task::OnBatch(std::move(batch), ctx);
     return;
   }
-  const Envelope* first_store = nullptr;
-  for (const Envelope& msg : batch.items) {
-    if (msg.type != MsgType::kData) {
-      Task::OnBatch(std::move(batch), ctx);
-      return;
-    }
-    if (first_store == nullptr && msg.store) first_store = &msg;
-  }
   // Batches never mix epochs (task.h invariant 3): the per-envelope
-  // admission check hoists to one check per batch, anchored on the first
-  // store tuple (probe-only tuples are not epoch-checked on the
-  // per-envelope path either).
-  if (first_store != nullptr) {
-    AJOIN_CHECK_MSG(first_store->epoch == epoch_,
-                    "new-epoch tuple before its reshuffler signal");
-  }
-  const size_t n = batch.items.size();
-  size_t i = 0;
-  while (i < n) {
-    const Rel rel = batch.items[i].rel;
-    size_t j = i + 1;
-    while (j < n && batch.items[j].rel == rel) ++j;
-    // Probes first: a run's tuples all belong to one relation and probe the
-    // opposite relation's index, so the run's own (deferred) stores can
-    // never be probe candidates for it. Equi runs go through the batched
-    // ProbeRun entry point (prefetch-pipelined on the flat index).
-    if (config_.spec.kind == JoinSpec::Kind::kEqui) {
-      ProbeRunBatch(batch, i, j, ctx);
-    } else {
-      for (size_t k = i; k < j; ++k) {
-        const Envelope& msg = batch.items[k];
-        if (msg.store) {
-          metrics_.in_tuples++;
-          metrics_.in_bytes += msg.bytes;
-        }
-        if (!AdmitProbe()) continue;
-        emit_weight_ = shed_weight_;
-        Probe(msg, Scope::kAll, ctx);
-        emit_weight_ = 1.0;
-      }
+  // admission check hoists to one check per batch.
+  AJOIN_CHECK_MSG(batch.items.front().epoch == epoch_,
+                  "new-epoch tuple before its reshuffler signal");
+  // One relation at a time; the S group's probes see the R group's stores
+  // (why every pair is still emitted exactly once: see the header).
+  for (const Rel rel : {Rel::kR, Rel::kS}) {
+    ProbeGroup(batch, rel, ctx);
+    for (const Envelope& msg : batch.items) {
+      if (msg.rel == rel) Store(msg, kOriginData, epoch_);
     }
-    // Then the run's inserts, grouped so the index stays hot in cache.
-    for (size_t k = i; k < j; ++k) {
-      const Envelope& msg = batch.items[k];
-      if (msg.store) Store(msg, kOriginData, epoch_);
-    }
-    i = j;
   }
   // One egress batch per input batch (the per-envelope path flushes per
   // message instead; both orders are per-edge FIFO, which is all sinks and
@@ -191,54 +164,52 @@ void JoinerCore::Probe(const Envelope& msg, Scope scope, Context& ctx) {
 // in L1 when matched. A power of two so the ring index is a mask.
 static constexpr size_t kCandidateWindow = 8;
 
-void JoinerCore::ProbeRunBatch(const TupleBatch& batch, size_t begin,
-                               size_t end, Context& ctx) {
-  // Steady-state (Scope::kAll) equi probes for one same-relation run,
-  // batched so the flat index can pipeline prefetches across the run;
-  // candidates go through the same MatchAndEmit body as scalar Probe().
-  // Under shedding the run is first Bernoulli-filtered (probe_idx_ maps the
-  // filtered position back to the batch item).
-  const Rel rel = batch.items[begin].rel;
-  const auto opp_i = static_cast<size_t>(Opposite(rel));
-  const bool shed = shedding();
+void JoinerCore::ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx) {
+  // Steady-state (Scope::kAll) probes of the batch's `rel` tuples against
+  // the opposite index. Under shedding each tuple draws its admission coin
+  // here; probe_msgs_[i] is the tuple whose key is probe_keys_[i].
+  probe_msgs_.clear();
   probe_keys_.clear();
-  probe_keys_.reserve(end - begin);
-  if (shed) {
-    probe_idx_.clear();
-    probe_idx_.reserve(end - begin);
-  }
-  for (size_t k = begin; k < end; ++k) {
-    const Envelope& msg = batch.items[k];
-    if (msg.store) {
-      metrics_.in_tuples++;
-      metrics_.in_bytes += msg.bytes;
-    }
-    if (shed && !AdmitProbe()) continue;
+  for (const Envelope& msg : batch.items) {
+    if (msg.rel != rel) continue;
+    metrics_.in_tuples++;
+    metrics_.in_bytes += msg.bytes;
+    if (!AdmitProbe()) continue;
+    probe_msgs_.push_back(&msg);
     probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
-    if (shed) probe_idx_.push_back(k);
   }
-  // Look-ahead window: every candidate prefetches its entry (and row slot)
-  // on arrival and is matched kCandidateWindow candidates later, so the
-  // emission order is the index's, unchanged.
+  emit_weight_ = shed_weight_;  // 1.0 unless shedding
+  if (config_.spec.kind != JoinSpec::Kind::kEqui) {
+    for (const Envelope* msg : probe_msgs_) Probe(*msg, Scope::kAll, ctx);
+    emit_weight_ = 1.0;
+    return;
+  }
+  // Equi groups go through the batched ProbeRun entry point, so the flat
+  // index prefetch-pipelines the whole group, then a look-ahead window:
+  // every candidate prefetches its entry (and row slot) on arrival and is
+  // matched kCandidateWindow candidates later, so the emission order is the
+  // index's, unchanged. Candidates go through the same MatchAndEmit body as
+  // scalar Probe().
   struct Candidate {
-    size_t item;  // batch item of the probing tuple
-    uint64_t id;  // stored entry id
+    const Envelope* msg;  // the probing tuple
+    uint64_t id;          // stored entry id
   };
   Candidate window[kCandidateWindow] = {};
   size_t arrived = 0;
+  const auto opp_i = static_cast<size_t>(Opposite(rel));
   const StoredEntry* entries = entries_[opp_i].data();
   const Row* rows = rows_[opp_i].empty() ? nullptr : rows_[opp_i].data();
+  const Envelope* const* msgs = probe_msgs_.data();
   const auto match = [&](const Candidate& c) {
-    MatchAndEmit(batch.items[c.item], c.id, Scope::kAll, ctx);
+    MatchAndEmit(*c.msg, c.id, Scope::kAll, ctx);
   };
-  emit_weight_ = shed_weight_;  // 1.0 unless shedding
   index_[opp_i].ProbeRun(
       probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
         __builtin_prefetch(entries + id);
         if (rows != nullptr) __builtin_prefetch(rows + id);
         Candidate& slot = window[arrived++ & (kCandidateWindow - 1)];
         if (arrived > kCandidateWindow) match(slot);
-        slot = Candidate{shed ? probe_idx_[pi] : begin + pi, id};
+        slot = Candidate{msgs[pi], id};
       });
   const size_t first = arrived > kCandidateWindow ? arrived - kCandidateWindow
                                                   : 0;

@@ -68,19 +68,30 @@ class JoinerCore : public Task {
   /// Batch store/probe (threaded engine, batched dispatch). Relies on the
   /// OnBatch invariants (src/runtime/task.h): batches are one edge's FIFO
   /// run, never mix control with data, and never mix epochs — so for a
-  /// steady-state kData batch the epoch admission check hoists to once per
-  /// batch, and the batch splits into maximal same-relation runs processed
-  /// as a probe pass — batched through JoinIndex::ProbeRun for equi-joins,
-  /// so the flat index prefetch-pipelines the run, and each candidate's
-  /// stored entry is prefetched a fixed number of candidates before it is
-  /// matched — followed by grouped index inserts (tuples of one relation
-  /// never match each other, so deferring a run's stores behind its probes
-  /// is output-equivalent to the per-envelope interleaving and keeps each
-  /// index's insert path hot).
-  /// Anything else — control singletons, µ
-  /// batches, or any batch consumed while a migration is active (Δ/Δ'
-  /// scoping and migration bookkeeping stay per-envelope) — falls back to
-  /// the default OnMessage loop.
+  /// steady-state batch of stored kData tuples the epoch admission check
+  /// hoists to once per batch, and the batch is taken one relation at a
+  /// time: all of its R tuples probe the S index, then are stored; then
+  /// all of its S tuples probe the R index, then are stored. Equi groups
+  /// go through one JoinIndex::ProbeRun each, so the flat index
+  /// prefetch-pipelines the whole group, and each candidate's stored entry
+  /// is prefetched a fixed number of candidates before it is matched.
+  ///
+  /// Exactly once: within this cell a pair (r, s) is emitted by whichever
+  /// of its two tuples is processed later, when the other is already
+  /// stored — the per-envelope loop and this order both process every
+  /// tuple once, probe before storing it, and never let a tuple match its
+  /// own relation. So the dispatch emits the same result multiset as the
+  /// per-envelope loop over the same batch. Two things may differ within
+  /// one dispatch: the order of its results, and, for a pair whose two
+  /// tuples share the batch with s before r, which tuple probes (the S
+  /// tuple here, the R tuple per envelope) — the result carries that
+  /// tuple's `rel` and `ingest_us` (and on band joins its `key`), and under
+  /// shedding its admission coin decides whether the pair is emitted.
+  ///
+  /// Anything else — control singletons, µ batches, batches holding a
+  /// probe-only (`store = false`) tuple, or any batch consumed while a
+  /// migration is active (Δ/Δ' scoping and migration bookkeeping stay
+  /// per-envelope) — falls back to the default OnMessage loop.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Re-points streaming egress at engine task `sink` (see
@@ -180,8 +191,8 @@ class JoinerCore : public Task {
 
   bool EntryInScope(const StoredEntry& entry, Rel entry_rel, Scope scope) const;
   void Probe(const Envelope& msg, Scope scope, Context& ctx);
-  void ProbeRunBatch(const TupleBatch& batch, size_t begin, size_t end,
-                     Context& ctx);
+  // Steady-state probes of one relation's tuples in a batch (OnBatch).
+  void ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx);
   // Shared candidate-filter/match/emit body of the scalar and batched
   // probe paths (single source of truth for the match rules); `id` is the
   // candidate's entry id in the opposite relation.
@@ -253,8 +264,9 @@ class JoinerCore : public Task {
   bool eos_forwarded_ = false;  // downstream kEos sent (once per slot)
   uint64_t output_count_ = 0;
   TupleBatch egress_;                // staged kResult run (one dispatch)
-  std::vector<int64_t> probe_keys_;  // batched-probe scratch (one run)
-  std::vector<size_t> probe_idx_;    // shed scratch: run pos -> batch item
+  // ProbeGroup scratch: the admitted tuples of one relation and their keys.
+  std::vector<const Envelope*> probe_msgs_;
+  std::vector<int64_t> probe_keys_;
   std::vector<std::pair<uint64_t, uint64_t>> pairs_;
   JoinerMetrics metrics_;
   // Request number of the last applied kShed (cold; kept behind the hot

@@ -30,7 +30,10 @@ enum class MsgType : uint8_t {
                   // agnostic; field use: key = join key, seq = r_seq,
                   // tag = s_seq, bytes = r+s bytes, row = r_row ++ s_row,
                   // weight = Horvitz-Thompson weight, 1.0 unless the
-                  // emitting joiner was shedding).
+                  // emitting joiner was shedding). rel, ingest_us and key
+                  // are the probing tuple's — the one of the pair the
+                  // joiner processed later (for an equi join both keys are
+                  // equal; for a band join key is the prober's).
                   // Agg stages emit kResult too, with: key = group key,
                   // seq = SplitMix64(key) (stable identity), tag =
                   // accumulator partition, bytes = accumulator footprint,

@@ -79,8 +79,13 @@ class Task {
 
   /// Batch-level dispatch (see file header for the invariants callers
   /// guarantee). The default unpacks the batch into one OnMessage call per
-  /// envelope, in order — overrides must be observably equivalent to that
-  /// loop, and fall back to it for batch shapes they do not specialize.
+  /// envelope, in order. An override must give, per dispatch, the same end
+  /// state and the same results as that loop — the same multiset on every
+  /// outgoing edge, though their order within the dispatch may differ, and
+  /// so may which input of a join pair probed for it (JoinerCore::OnBatch)
+  /// — and keep per-edge FIFO between dispatches: what one dispatch sends on
+  /// an edge precedes what the next one sends there. Overrides fall back to
+  /// the loop for batch shapes they do not specialize.
   virtual void OnBatch(TupleBatch batch, Context& ctx) {
     for (Envelope& msg : batch.items) {
       OnMessage(std::move(msg), ctx);

@@ -1,12 +1,14 @@
 // Targeted Algorithm 3 tests: a JoinerCore driven directly with crafted
 // message interleavings (early µ before any signal, Δ after partial signals,
 // Δ' racing migration tuples, MigEnd before signals, a stale kShed copy
-// after a newer one) — orders a real engine may produce but tests cannot
-// force reliably end-to-end.
+// after a newer one, batch dispatch against the per-envelope loop) — orders
+// a real engine may produce but tests cannot force reliably end-to-end.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include "src/common/trace_ring.h"
@@ -99,6 +101,109 @@ TEST(JoinerProtocol, SteadyStateJoinAndStore) {
   EXPECT_EQ(joiner.stored_count(Rel::kR), 1u);
   EXPECT_EQ(joiner.stored_count(Rel::kS), 2u);
   EXPECT_TRUE(ctx.sent.empty());
+}
+
+// A captured kResult: (seq, tag, key, bytes, weight, rel, ingest_us).
+using Result =
+    std::tuple<uint64_t, uint64_t, int64_t, uint32_t, double, Rel, uint64_t>;
+
+std::vector<Result> SentResults(const CaptureContext& ctx) {
+  std::vector<Result> out;
+  for (const auto& [to, env] : ctx.sent) {
+    if (env.type != MsgType::kResult) continue;
+    out.emplace_back(env.seq, env.tag, env.key, env.bytes, env.weight, env.rel,
+                     env.ingest_us);
+  }
+  return out;
+}
+
+TEST(JoinerProtocol, RelationGroupedBatchMatchesEnvelopeLoop) {
+  // OnBatch takes a steady batch one relation at a time (the R tuples probe
+  // and are stored, then the S tuples); OnMessage interleaves them in edge
+  // order. Each pair is emitted by whichever of its tuples is processed
+  // later, so both emit the same results — only their order and, for a
+  // pair whose S tuple precedes its R tuple in one batch, the probing side
+  // (the result's rel, ingest_us and, on band joins, key) may differ.
+  std::map<uint64_t, int64_t> key_of;  // input seq -> key
+  const auto data = [&key_of](Rel rel, int64_t key, uint64_t seq) {
+    Envelope env = Data(rel, key, kTagLow, seq, 0);
+    env.bytes = static_cast<uint32_t>(seq);
+    env.ingest_us = 1000 + seq;
+    key_of[seq] = key;
+    return env;
+  };
+  // Duplicate keys; pairs inside one batch in both orders, and pairs across
+  // batches.
+  const std::vector<std::vector<Envelope>> batches = {
+      {data(Rel::kR, 1, 1), data(Rel::kS, 1, 2), data(Rel::kS, 2, 3),
+       data(Rel::kR, 1, 4), data(Rel::kR, 3, 5), data(Rel::kS, 1, 6),
+       data(Rel::kS, 4, 7), data(Rel::kR, 2, 8)},
+      {data(Rel::kS, 1, 9), data(Rel::kR, 2, 10), data(Rel::kR, 1, 11),
+       data(Rel::kS, 3, 12), data(Rel::kS, 2, 13), data(Rel::kR, 4, 14)},
+      {data(Rel::kS, 3, 15), data(Rel::kS, 3, 16), data(Rel::kR, 3, 17)},
+  };
+  // A last batch holds one probe-only tuple (a multi-group operator's
+  // cross-group probe), which keeps the per-envelope order.
+  std::vector<Envelope> mixed = {data(Rel::kR, 2, 18), data(Rel::kS, 1, 19),
+                                 data(Rel::kS, 2, 20), data(Rel::kR, 1, 21)};
+  mixed[1].store = false;
+
+  for (const JoinSpec& spec : {MakeEquiJoin(0, 0), MakeBandJoin(0, 0, -1, 1)}) {
+    SCOPED_TRACE(spec.name);
+    const bool equi = spec.kind == JoinSpec::Kind::kEqui;
+    JoinerConfig cfg = TwoMachineConfig(0);
+    cfg.spec = spec;
+    cfg.result_sink = 50;
+    JoinerCore batched(cfg);
+    JoinerCore looped(cfg);
+    CaptureContext batch_ctx(0);
+    CaptureContext loop_ctx(0);
+    const auto feed = [&](const std::vector<Envelope>& items) {
+      TupleBatch batch;
+      for (const Envelope& env : items) {
+        batch.Add(Envelope(env));
+        looped.OnMessage(env, loop_ctx);
+      }
+      batched.OnBatch(std::move(batch), batch_ctx);
+    };
+    for (const std::vector<Envelope>& items : batches) feed(items);
+
+    EXPECT_EQ(batched.output_count(), looped.output_count());
+    EXPECT_EQ(batched.output_count(), equi ? 20u : 47u);  // counted by hand
+    for (const Rel rel : {Rel::kR, Rel::kS}) {
+      EXPECT_EQ(batched.stored_count(rel), looped.stored_count(rel));
+    }
+    // (seq, tag, key, bytes, weight) multisets. A result's key is its
+    // probing tuple's: on band joins either of the pair's two keys, so it
+    // is checked to be one of them and then compared as the R key.
+    std::vector<Result> got = SentResults(batch_ctx);
+    std::vector<Result> want = SentResults(loop_ctx);
+    ASSERT_EQ(got.size(), batched.output_count());
+    for (std::vector<Result>* results : {&got, &want}) {
+      for (Result& res : *results) {
+        const int64_t r_key = key_of.at(std::get<0>(res));
+        const int64_t s_key = key_of.at(std::get<1>(res));
+        EXPECT_TRUE(std::get<2>(res) == r_key || std::get<2>(res) == s_key);
+        std::get<2>(res) = r_key;
+        std::get<5>(res) = Rel::kR;
+        std::get<6>(res) = 0;
+      }
+      std::sort(results->begin(), results->end());
+    }
+    EXPECT_EQ(got, want);
+
+    // A probe-only tuple sends the batch down the per-envelope path:
+    // element for element the same results, probing side included.
+    batch_ctx.sent.clear();
+    loop_ctx.sent.clear();
+    feed(mixed);
+    EXPECT_FALSE(SentResults(batch_ctx).empty());
+    EXPECT_EQ(SentResults(batch_ctx), SentResults(loop_ctx));
+    EXPECT_EQ(batched.output_count(), looped.output_count());
+    for (const Rel rel : {Rel::kR, Rel::kS}) {
+      EXPECT_EQ(batched.stored_count(rel), looped.stored_count(rel));
+    }
+  }
 }
 
 TEST(JoinerProtocol, MigrationSendsTauOnFirstSignal) {

@@ -242,7 +242,7 @@ TEST(OperatorThread, RowModeResidualPredicate) {
 
 TEST(OperatorThread, BatchDispatchMatchesEnvelopeDispatchAcrossMigration) {
   // The OnBatch specializations (reshuffler one-pass routing, joiner
-  // run-grouped store/probe) must be observably equivalent to the
+  // relation-grouped probe/store) must produce the same join pairs as the
   // per-envelope default loop — including across live migrations, where the
   // joiner falls back to per-envelope Δ/Δ' handling mid-stream. Aggressive
   // epsilon guarantees at least one migration is in flight while data keeps

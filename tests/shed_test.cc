@@ -316,6 +316,36 @@ TEST(ShedController, RejectedRequestIsLoggedNotCounted) {
   EXPECT_EQ(loop.shed_rate_ppm(idx), kExact);
 }
 
+TEST(ShedController, RefusedRateIsRetriedNotAssumed) {
+  // A refused SetShedRate leaves the joiners at their old rate, so the
+  // policy must not step on from the refused one: the next tick asks for
+  // the same change again.
+  MetricsRegistry registry;
+  std::vector<int> ids = {7};
+  registry.Register(7, TaskKind::kJoiner)
+      ->PublishJoiner(JoinerMetrics{}, 0, false, true);
+  FakeShedOp op;
+  op.accept = false;
+  ShedConfig cfg;
+  cfg.enter_backlog = 100;
+  cfg.overload_ticks = 1;
+  cfg.cooldown_ticks = 0;
+  ControlLoop loop(&registry);
+  loop.Shed(op, ids, cfg);
+  loop.SetBacklogSource([] { return uint64_t{500}; });
+  loop.TickNow(0);
+  loop.TickNow(1000);
+  const std::vector<ControlLoop::Decision> log = loop.decisions();
+  ASSERT_EQ(log.size(), 2u);
+  for (const ControlLoop::Decision& d : log) {
+    EXPECT_EQ(d.action, Action::kShedRate);
+    EXPECT_FALSE(d.accepted);
+    EXPECT_EQ(d.prev, kExact);
+    EXPECT_EQ(d.next, kExact / 2);
+  }
+  EXPECT_EQ(op.rates, (std::vector<uint32_t>{kExact / 2, kExact / 2}));
+}
+
 TEST(ControlLoop, OneSampleFeedsScaleAndShedPolicies) {
   MetricsRegistry registry;
   std::vector<int> ids = {20, 21, 22, 23};

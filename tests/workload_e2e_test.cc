@@ -24,11 +24,15 @@ TpchConfig TinyConfig() {
   return cfg;
 }
 
+// gtest names each case with a byte dump of its parameter, so the struct has
+// no padding: every printed byte is a field, and the test names do not pick
+// up stack garbage from one build or run to the next.
 struct E2EParam {
   QueryId query;
   uint32_t machines;
-  bool adaptive;
+  uint32_t adaptive;  // 0 or 1
 };
+static_assert(sizeof(E2EParam) == 12, "E2EParam must have no padding");
 
 class WorkloadE2E : public ::testing::TestWithParam<E2EParam> {};
 
