@@ -1,26 +1,29 @@
-// Join-index probe throughput: scalar point probes vs the batched
-// prefetch-pipelined ProbeRun on the flat tag-filtered FlatHashIndex,
-// across Zipf key skew. (The chained HashIndex axis retired with the
-// baseline itself; the flat index is now the only equi-hash form.)
+// Join-index build and probe throughput on the flat tag-filtered
+// FlatHashIndex across Zipf key skew: scalar inserts vs the batched
+// prefetch-pipelined InsertRun, and scalar point probes vs ProbeRun.
 //
-// This isolates the joiner's equi-probe hot path (the paper's joiners spend
-// their cycles in hashmap lookups): a build stream of N (key, id) entries
-// drawn Zipf(z) over a duplicate-heavy domain (N/16 keys, ~16 duplicates
-// per key at z=0, heavier heads as z grows), then M probe keys from the
-// same distribution, probed through JoinIndex exactly as JoinerCore does —
-// scalar ForEachCandidate per key, or ProbeRun over 256-key runs (the run
-// shape batch dispatch produces).
+// This isolates the joiner's equi-join index work (the paper's joiners
+// spend their cycles in hashmap lookups): a build stream of N (key, id)
+// entries drawn Zipf(z) over a duplicate-heavy domain (N/16 keys, ~16
+// duplicates per key at z=0, heavier heads as z grows), then M probe keys
+// from the same distribution, both through JoinIndex exactly as
+// JoinerCore uses it. The build is timed as one Add per key
+// (insert=scalar) or AddRun over 256-key runs (insert=run); the probes as
+// ForEachCandidate per key (probe=scalar) or ProbeRun over 256-key runs
+// (probe=run). 256 keys is the run shape batch dispatch produces.
 //
 // Acceptance: ProbeRun >= 1.2x scalar probes/sec on the duplicate-heavy
 // Zipf configuration (z = 1.0) — the prefetch pipeline must pay for itself
-// where misses dominate.
+// where misses dominate. The insert ratio at z = 0 is printed beside it.
 //
 // `--smoke` shrinks sizes/reps for CI. Emits BENCH_probe_throughput.json.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -71,11 +74,49 @@ std::vector<int64_t> MakeKeys(uint64_t n, uint64_t domain, double z,
   return keys;
 }
 
-JoinIndex BuildIndex(const std::vector<int64_t>& keys) {
+// The recording host: CPU model and hardware threads.
+std::string HostDescription() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line, model = "unknown cpu";
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) model = line.substr(colon + 2);
+      break;
+    }
+  }
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads";
+}
+
+// Builds the index the way JoinerCore stores into a growing one (no
+// Reserve): one Add per key, or AddRun over kRunLen-key runs.
+JoinIndex BuildIndex(const std::vector<int64_t>& keys, bool run) {
   JoinIndex index(JoinIndex::Kind::kHash);
-  index.Reserve(keys.size());
-  for (uint64_t i = 0; i < keys.size(); ++i) index.Add(keys[i], i);
+  if (!run) {
+    for (uint64_t i = 0; i < keys.size(); ++i) index.Add(keys[i], i);
+    return index;
+  }
+  for (size_t at = 0; at < keys.size(); at += kRunLen) {
+    const size_t len =
+        at + kRunLen <= keys.size() ? kRunLen : keys.size() - at;
+    index.AddRun(keys.data() + at, len, at);
+  }
   return index;
+}
+
+// Best-of-`reps` build rate (inserts/s) after one warm-up build.
+double BestBuildRate(int reps, const std::vector<int64_t>& keys, bool run) {
+  (void)BuildIndex(keys, run);
+  double best = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch clock;
+    const JoinIndex index = BuildIndex(keys, run);
+    const double rate =
+        static_cast<double>(index.size()) / clock.ElapsedSeconds();
+    if (rate > best) best = rate;
+  }
+  return best;
 }
 
 ProbeResult RunScalar(const JoinIndex& index, const EntryPayloads& entries,
@@ -139,19 +180,24 @@ int main(int argc, char** argv) {
 
   JsonResult out("probe_throughput");
   out.meta()
-      .Add("unit", "probes_per_sec")
+      .Add("host", HostDescription())
+      .Add("unit", "probes_per_sec (probe rows), inserts_per_sec (insert "
+                   "rows)")
       .Add("measure", smoke ? "wall_clock_smoke" : "wall_clock_best_of_n")
+      .Add("reps", static_cast<uint64_t>(sizes.reps))
       .Add("build_n", sizes.build_n)
       .Add("probe_n", sizes.probe_n)
       .Add("run_len", static_cast<uint64_t>(kRunLen))
       .Add("smoke", smoke)
       .Add("note",
            "open-addressing tag-filtered FlatHashIndex with duplicate-run "
-           "arena; probe scalar = per-key ForEachCandidate, run = batched "
-           "ProbeRun over 256-key runs (software-prefetch-pipelined, each "
-           "match gathering its stored-entry payload as the joiner does); "
-           "domain = build_n/16 keys so z=0 is ~16 duplicates per key and "
-           "z=1.0 is the duplicate-heavy skewed configuration");
+           "arena; insert scalar = one Add per key into a growing index, "
+           "run = AddRun over 256-key runs (InsertRun: the same inserts, "
+           "prefetch-pipelined); probe scalar = per-key ForEachCandidate, "
+           "run = batched ProbeRun over 256-key runs (software-prefetch-"
+           "pipelined, each match gathering its stored-entry payload as the "
+           "joiner does); domain = build_n/16 keys so z=0 is ~16 duplicates "
+           "per key and z=1.0 is the duplicate-heavy skewed configuration");
 
   // Per-skew probe budgets: expected matches per probe grow with
   // build_n * sum(p_k^2) (~16 at z=0, ~12000 at z=1.0 for the full build),
@@ -164,12 +210,15 @@ int main(int argc, char** argv) {
   const ZConfig kZipfZ[] = {{0.0, 1.0}, {0.8, 0.25}, {1.0, 0.04}};
   const uint64_t domain = sizes.build_n / 16;
 
-  bench::PrintHeader("Probe throughput: probe=scalar|run x Zipf z");
-  std::printf("%-6s %-8s %14s %14s %10s\n", "z", "probe", "probes/s",
+  bench::PrintHeader(
+      "Index throughput: insert=scalar|run, probe=scalar|run x Zipf z");
+  std::printf("%-6s %-14s %14s %14s %10s\n", "z", "axis", "ops/s",
               "matches/s", "mem MB");
 
-  // Acceptance inputs at the duplicate-heavy configuration.
+  // Acceptance inputs at the duplicate-heavy configuration, and the insert
+  // rates printed beside them.
   double scalar_z1 = 0, run_z1 = 0;
+  double insert_scalar_z0 = 0, insert_run_z0 = 0;
 
   for (const ZConfig& zc : kZipfZ) {
     const double z = zc.z;
@@ -181,16 +230,32 @@ int main(int argc, char** argv) {
     const auto build_keys = MakeKeys(sizes.build_n, domain, z, 4242);
     const auto probe_keys = MakeKeys(probe_n, domain, z, 97);
     const EntryPayloads entries(sizes.build_n);
-    const JoinIndex index = BuildIndex(build_keys);
+    // Both build forms give this same index (InsertRun only prefetches).
+    const JoinIndex index = BuildIndex(build_keys, false);
+    const double mem_mb =
+        static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0);
+    for (bool run : {false, true}) {
+      const char* insert_name = run ? "run" : "scalar";
+      const double rate = BestBuildRate(sizes.reps, build_keys, run);
+      std::printf("%-6.1f insert=%-7s %14.0f %14s %10.1f\n", z, insert_name,
+                  rate, "-", mem_mb);
+      out.AddRow()
+          .Add("zipf_z", z)
+          .Add("insert", insert_name)
+          .Add("domain", domain)
+          .Add("build_n", sizes.build_n)
+          .Add("inserts_per_sec", rate)
+          .Add("index_memory_bytes",
+               static_cast<uint64_t>(index.MemoryBytes()));
+      if (z == 0.0) (run ? insert_run_z0 : insert_scalar_z0) = rate;
+    }
     for (bool batched : {false, true}) {
       const char* probe_name = batched ? "run" : "scalar";
       // Warm-up rep, then timed best-of.
       (void)BestOf(1, index, entries, probe_keys, batched);
       const ProbeResult r =
           BestOf(sizes.reps, index, entries, probe_keys, batched);
-      const double mem_mb =
-          static_cast<double>(index.MemoryBytes()) / (1024.0 * 1024.0);
-      std::printf("%-6.1f %-8s %14.0f %14.0f %10.1f\n", z, probe_name,
+      std::printf("%-6.1f probe=%-8s %14.0f %14.0f %10.1f\n", z, probe_name,
                   r.probes_per_sec, r.matches_per_sec, mem_mb);
       out.AddRow()
           .Add("zipf_z", z)
@@ -213,11 +278,15 @@ int main(int argc, char** argv) {
   }
 
   const double speedup = scalar_z1 > 0 ? run_z1 / scalar_z1 : 0;
+  const double insert_speedup =
+      insert_scalar_z0 > 0 ? insert_run_z0 / insert_scalar_z0 : 0;
   std::printf(
       "\nacceptance: run vs scalar at z=1.0 (duplicate-heavy): "
       "%.2fx (>= 1.2x required)\n",
       speedup);
+  std::printf("insert run vs scalar at z=0: %.2fx\n", insert_speedup);
   out.meta().Add("run_vs_scalar_z1", speedup);
+  out.meta().Add("insert_run_vs_scalar_z0", insert_speedup);
   out.Write();
   return 0;
 }

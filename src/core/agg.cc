@@ -66,6 +66,7 @@ AggRouterCore::AggRouterCore(Config config) : config_(std::move(config)) {
     assign_[p] = p % config_.num_workers;
   }
   if (config_.index == 0) part_loads_.assign(config_.partitions, 0);
+  runs_.resize(config_.num_workers);
 }
 
 void AggRouterCore::OnMessage(Envelope msg, Context& ctx) {
@@ -116,11 +117,41 @@ void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
       return;
     }
   }
-  for (Envelope& msg : batch.items) Route(msg, ctx);
+  // One run per worker, shipped before this call returns, in place of one
+  // Send per tuple. Each worker edge carries the batch's tuples in batch
+  // order, as per envelope. Nothing this batch sends to a worker can be
+  // overtaken: the controller duty below only sends kEpochChange to
+  // routers, and the assignment changes when that comes back as control.
+  for (Envelope& msg : batch.items) {
+    const uint32_t worker = Restamp(msg);
+    const uint32_t partition = msg.group;
+    TupleBatch& run = runs_[worker];
+    if (run.empty()) {
+      touched_runs_.push_back(worker);
+      // The backing vector leaves with SendBatch (as in the reshuffler).
+      run.items.reserve(batch.items.size());
+    }
+    run.Add(std::move(msg));
+    if (config_.index == 0) NoteRouted(partition, ctx);
+  }
+  for (const uint32_t worker : touched_runs_) {
+    ctx.SendBatch(config_.worker_task_base + static_cast<int>(worker),
+                  std::move(runs_[worker]));
+    runs_[worker].Clear();
+  }
+  touched_runs_.clear();
   Publish();
 }
 
 void AggRouterCore::Route(Envelope& msg, Context& ctx) {
+  const uint32_t worker = Restamp(msg);
+  const uint32_t partition = msg.group;
+  ctx.Send(config_.worker_task_base + static_cast<int>(worker),
+           std::move(msg));
+  if (config_.index == 0) NoteRouted(partition, ctx);
+}
+
+uint32_t AggRouterCore::Restamp(Envelope& msg) {
   if (msg.type == MsgType::kResult) ++results_restamped_;
   int64_t key = msg.key;
   if (config_.key_col >= 0) {
@@ -138,9 +169,7 @@ void AggRouterCore::Route(Envelope& msg, Context& ctx) {
   ++metrics_.routed_tuples;
   ++metrics_.sent_msgs;
   metrics_.sent_bytes += msg.bytes;
-  ctx.Send(config_.worker_task_base + static_cast<int>(worker),
-           std::move(msg));
-  if (config_.index == 0) NoteRouted(partition, ctx);
+  return worker;
 }
 
 void AggRouterCore::HandleEpochChange(const Envelope& msg, Context& ctx) {

@@ -169,7 +169,8 @@ class AggRouterCore : public Task {
   void OnMessage(Envelope msg, Context& ctx) override;
   /// Data lane: restamps each kInput/kResult envelope as kData with the
   /// group key, hash tag, current epoch, and owning partition, then
-  /// forwards it to the partition's assigned worker.
+  /// forwards the batch to the partitions' assigned workers as one run per
+  /// worker (Context::SendBatch), in batch order.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Wiring-time (Dataflow::Connect): this router will receive `n` more
@@ -191,6 +192,9 @@ class AggRouterCore : public Task {
 
  private:
   void Route(Envelope& msg, Context& ctx);
+  // Restamps msg as kData for its group's partition (msg.group) and returns
+  // the partition's worker.
+  uint32_t Restamp(Envelope& msg);
   void HandleEpochChange(const Envelope& msg, Context& ctx);
   void HandleEos(Context& ctx);
   // Controller duty (router 0).
@@ -207,6 +211,9 @@ class AggRouterCore : public Task {
   bool note_sent_ = false;
   ReshufflerMetrics metrics_;
   uint64_t results_restamped_ = 0;
+  // OnBatch scratch: one run per worker, and the workers the batch touched.
+  std::vector<TupleBatch> runs_;
+  std::vector<uint32_t> touched_runs_;
   // Controller state (meaningful on router 0 only).
   std::vector<uint64_t> part_loads_;  // routed tuples per partition
   uint64_t total_routed_ = 0;         // since the last reset

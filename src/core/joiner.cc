@@ -89,9 +89,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // (why every pair is still emitted exactly once: see the header).
   for (const Rel rel : {Rel::kR, Rel::kS}) {
     ProbeGroup(batch, rel, ctx);
-    for (const Envelope& msg : batch.items) {
-      if (msg.rel == rel) Store(msg, kOriginData, epoch_);
-    }
+    StoreGroup(batch, rel);
   }
   // One egress batch per input batch (the per-envelope path flushes per
   // message instead; both orders are per-edge FIFO, which is all sinks and
@@ -167,16 +165,16 @@ static constexpr size_t kCandidateWindow = 8;
 void JoinerCore::ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx) {
   // Steady-state (Scope::kAll) probes of the batch's `rel` tuples against
   // the opposite index. Under shedding each tuple draws its admission coin
-  // here; probe_msgs_[i] is the tuple whose key is probe_keys_[i].
+  // here; probe_msgs_[i] is the tuple whose key is group_keys_[i].
   probe_msgs_.clear();
-  probe_keys_.clear();
+  group_keys_.clear();
   for (const Envelope& msg : batch.items) {
     if (msg.rel != rel) continue;
     metrics_.in_tuples++;
     metrics_.in_bytes += msg.bytes;
     if (!AdmitProbe()) continue;
     probe_msgs_.push_back(&msg);
-    probe_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
+    group_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
   }
   emit_weight_ = shed_weight_;  // 1.0 unless shedding
   if (config_.spec.kind != JoinSpec::Kind::kEqui) {
@@ -204,7 +202,7 @@ void JoinerCore::ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx) {
     MatchAndEmit(*c.msg, c.id, Scope::kAll, ctx);
   };
   index_[opp_i].ProbeRun(
-      probe_keys_.data(), probe_keys_.size(), [&](size_t pi, uint64_t id) {
+      group_keys_.data(), group_keys_.size(), [&](size_t pi, uint64_t id) {
         __builtin_prefetch(entries + id);
         if (rows != nullptr) __builtin_prefetch(rows + id);
         Candidate& slot = window[arrived++ & (kCandidateWindow - 1)];
@@ -261,11 +259,15 @@ void JoinerCore::StageResult(const Envelope& msg, const StoredEntry& matched,
   const Rel msg_rel = msg.rel;
   res.type = MsgType::kResult;
   res.rel = msg_rel;
-  res.key = msg.key;
+  // The pair's identity fields do not depend on which tuple probed: (seq,
+  // tag) = (r_seq, s_seq) and key = the R tuple's key (on band and theta
+  // joins the two keys differ).
   if (msg_rel == Rel::kR) {
+    res.key = msg.key;
     res.seq = msg.seq;
     res.tag = matched.seq;
   } else {
+    res.key = matched.key;
     res.seq = matched.seq;
     res.tag = msg.seq;
   }
@@ -311,7 +313,8 @@ void AppendRowSlot(std::vector<Row>* rows, size_t id, const Row* row) {
 
 }  // namespace
 
-void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
+uint64_t JoinerCore::AppendEntry(const Envelope& msg, uint8_t origin,
+                                 uint32_t epoch) {
   const auto rel_i = static_cast<size_t>(msg.rel);
   const bool has_row = msg.has_row && config_.keep_rows;
   auto& entries = entries_[rel_i];
@@ -322,8 +325,27 @@ void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
   entry.seq = msg.seq;
   entry.bytes = msg.bytes;
   entry.epoch_word = EpochWord(epoch, origin, has_row);
-  index_[rel_i].Add(IndexKey(msg.key), entries.size() - 1);
   metrics_.NoteStored(msg.bytes);
+  return entries.size() - 1;
+}
+
+void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
+  const uint64_t id = AppendEntry(msg, origin, epoch);
+  index_[static_cast<size_t>(msg.rel)].Add(IndexKey(msg.key), id);
+}
+
+void JoinerCore::StoreGroup(const TupleBatch& batch, Rel rel) {
+  // The group's entries take consecutive ids, so one AddRun indexes them in
+  // the same order as a Store per tuple would.
+  const auto rel_i = static_cast<size_t>(rel);
+  const uint64_t first_id = entries_[rel_i].size();
+  group_keys_.clear();
+  for (const Envelope& msg : batch.items) {
+    if (msg.rel != rel) continue;
+    AppendEntry(msg, kOriginData, epoch_);
+    group_keys_.push_back(IndexKey(msg.key));
+  }
+  index_[rel_i].AddRun(group_keys_.data(), group_keys_.size(), first_id);
 }
 
 void JoinerCore::RebuildIndex(size_t rel_i) {

@@ -74,7 +74,10 @@ class JoinerCore : public Task {
   /// all of its S tuples probe the R index, then are stored. Equi groups
   /// go through one JoinIndex::ProbeRun each, so the flat index
   /// prefetch-pipelines the whole group, and each candidate's stored entry
-  /// is prefetched a fixed number of candidates before it is matched.
+  /// is prefetched a fixed number of candidates before it is matched. Each
+  /// group is stored with one JoinIndex::AddRun (StoreGroup), which on the
+  /// flat index prefetch-pipelines the group's inserts the same way; the
+  /// stored state is identical to a Store per tuple.
   ///
   /// Exactly once: within this cell a pair (r, s) is emitted by whichever
   /// of its two tuples is processed later, when the other is already
@@ -85,8 +88,9 @@ class JoinerCore : public Task {
   /// one dispatch: the order of its results, and, for a pair whose two
   /// tuples share the batch with s before r, which tuple probes (the S
   /// tuple here, the R tuple per envelope) — the result carries that
-  /// tuple's `rel` and `ingest_us` (and on band joins its `key`), and under
-  /// shedding its admission coin decides whether the pair is emitted.
+  /// tuple's `rel` and `ingest_us` (its key is the R tuple's either way),
+  /// and under shedding its admission coin decides whether the pair is
+  /// emitted.
   ///
   /// Anything else — control singletons, µ batches, batches holding a
   /// probe-only (`store = false`) tuple, or any batch consumed while a
@@ -212,6 +216,12 @@ class JoinerCore : public Task {
                    const Row* matched_row, Context& ctx);
   void FlushEgress(Context& ctx);
   void Store(const Envelope& msg, uint8_t origin, uint32_t epoch);
+  // Store's first half: appends msg's entry (and row slot) without indexing
+  // it; returns the entry id.
+  uint64_t AppendEntry(const Envelope& msg, uint8_t origin, uint32_t epoch);
+  // Steady-state stores of one relation's tuples in a batch (OnBatch): the
+  // entries in batch order, then their keys through one JoinIndex::AddRun.
+  void StoreGroup(const TupleBatch& batch, Rel rel);
   // Clear + Reserve + Add rebuild of index_[rel_i] over entries_[rel_i]
   // (FinalizeMigration, RestoreState).
   void RebuildIndex(size_t rel_i);
@@ -264,9 +274,10 @@ class JoinerCore : public Task {
   bool eos_forwarded_ = false;  // downstream kEos sent (once per slot)
   uint64_t output_count_ = 0;
   TupleBatch egress_;                // staged kResult run (one dispatch)
-  // ProbeGroup scratch: the admitted tuples of one relation and their keys.
+  // ProbeGroup/StoreGroup scratch: the admitted tuples of the group being
+  // probed, and the keys being probed or stored.
   std::vector<const Envelope*> probe_msgs_;
-  std::vector<int64_t> probe_keys_;
+  std::vector<int64_t> group_keys_;
   std::vector<std::pair<uint64_t, uint64_t>> pairs_;
   JoinerMetrics metrics_;
   // Request number of the last applied kShed (cold; kept behind the hot

@@ -50,6 +50,19 @@ void FlatHashIndex::Insert(int64_t key, uint64_t row_id) {
   }
 }
 
+void FlatHashIndex::InsertRun(const int64_t* keys, size_t n,
+                              uint64_t first_id) {
+  if (n == 0) return;
+  // The stages read ctrl_, which the first Insert allocates.
+  if (ctrl_.empty()) {
+    Insert(*keys++, first_id++);
+    --n;
+  }
+  RunPipeline(keys, n, [&](size_t i, const Pending&) {
+    Insert(keys[i], first_id + i);
+  });
+}
+
 void FlatHashIndex::AppendToRun(Slot* slot, uint64_t row_id) {
   if ((slot->head & kExternal) == 0) {
     // Inline -> external: open a run seeded with the inline id.

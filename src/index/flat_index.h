@@ -26,10 +26,13 @@
 // migration protocol rebuilds indexes via Clear() + re-Add, so the probe
 // invariant "stop at the first group with an empty slot" always holds.
 //
-// ProbeRun(keys, n, fn) is the batched entry point: a four-stage software
-// pipeline (hash -> prefetch ctrl group -> match tags + prefetch slot ->
-// resolve key + prefetch duplicate run -> emit) that keeps several probes'
-// cache misses in flight instead of stalling on one at a time.
+// ProbeRun(keys, n, fn) and InsertRun(keys, n, first_id) are the batched
+// entry points. Both run one four-stage software pipeline (hash -> prefetch
+// ctrl group -> match tags + prefetch slot -> resolve key + prefetch
+// duplicate run -> emit / Insert) that keeps several keys' cache misses in
+// flight instead of stalling on one at a time. InsertRun's stages are
+// prefetch-only: every key still goes through the unchanged Insert, in
+// order, so the index it builds is the Insert loop's, byte for byte.
 
 #pragma once
 
@@ -65,6 +68,14 @@ class FlatHashIndex {
   /// contiguous arena run.
   void Insert(int64_t key, uint64_t row_id);
 
+  /// Inserts (keys[i], first_id + i) for i = 0..n-1 through Insert, in
+  /// order, with ProbeRun's pipeline running 3 * kPipeline keys ahead: each
+  /// key's ctrl group, slot and duplicate-run header are prefetched before
+  /// its Insert. The stages only prefetch, so the resulting index (layout,
+  /// match order, MemoryBytes) is the Insert loop's; a growth mid-run only
+  /// wastes the prefetches issued before it.
+  void InsertRun(const int64_t* keys, size_t n, uint64_t first_id);
+
   /// Pre-sizes the slot table for `n` additional entries and reserves
   /// arena headroom for their estimated duplicate surplus, so a bulk
   /// absorb — e.g. a migrated partition of known size — avoids
@@ -95,22 +106,8 @@ class FlatHashIndex {
   template <typename Fn>
   void ProbeRun(const int64_t* keys, size_t n, Fn&& fn) const {
     if (used_slots_ == 0 || n == 0) return;
-    // In-flight probe states, one ring slot per probe modulo the window.
-    Pending ring[kWindow];
-    for (size_t step = 0; step < n + 3 * kPipeline; ++step) {
-      if (step < n) StageHash(keys[step], &ring[step & (kWindow - 1)]);
-      if (step >= kPipeline && step - kPipeline < n) {
-        StageMatch(&ring[(step - kPipeline) & (kWindow - 1)]);
-      }
-      if (step >= 2 * kPipeline && step - 2 * kPipeline < n) {
-        StageResolve(keys[step - 2 * kPipeline],
-                     &ring[(step - 2 * kPipeline) & (kWindow - 1)]);
-      }
-      if (step >= 3 * kPipeline) {
-        const size_t i = step - 3 * kPipeline;
-        StageEmit(ring[i & (kWindow - 1)], i, fn);
-      }
-    }
+    RunPipeline(keys, n,
+                [&](size_t i, const Pending& p) { StageEmit(p, i, fn); });
   }
 
   /// Number of matches for a key (for selectivity probes). O(1): decoded
@@ -148,8 +145,8 @@ class FlatHashIndex {
   static constexpr uint8_t kEmpty = 0x80;
   static constexpr uint64_t kLsb = 0x0101010101010101ULL;
   static constexpr uint64_t kMsb = 0x8080808080808080ULL;
-  // Pipeline distance between ProbeRun stages; the ring must hold the
-  // 3 * kPipeline + 1 probes in flight and stays a power of two so the
+  // Pipeline distance between ProbeRun/InsertRun stages; the ring must hold
+  // the 3 * kPipeline + 1 keys in flight and stays a power of two so the
   // hot-loop index is a mask, not a division.
   static constexpr size_t kPipeline = 5;
   static constexpr size_t kWindow = 16;
@@ -178,7 +175,7 @@ class FlatHashIndex {
     return (static_cast<uint64_t>(cap) << 32) | count;
   }
 
-  // ProbeRun in-flight state for one probe.
+  // Pipeline in-flight state for one key.
   struct Pending {
     uint64_t hash;
     uint64_t head;   // resolved ids: inline row id or arena offset of ids
@@ -276,7 +273,34 @@ class FlatHashIndex {
     for (uint32_t i = 0; i < count; ++i) fn(run[i]);
   }
 
-  // --- ProbeRun stages -----------------------------------------------------
+  // --- Pipeline stages (ProbeRun, InsertRun) -------------------------------
+
+  // Key i is hashed at step i, tag-matched at step i + kPipeline, resolved
+  // at step i + 2 * kPipeline and handed to last(i, pending) at step
+  // i + 3 * kPipeline, so each stage's prefetch has kPipeline steps to land.
+  // The stages read ctrl_, slots_ and arena_ as they are at that step; a
+  // `last` that inserts may grow the table under the keys still in flight,
+  // whose group indices then stay in bounds (tables only grow) and merely
+  // point the remaining prefetches at the wrong lines.
+  template <typename Last>
+  void RunPipeline(const int64_t* keys, size_t n, Last&& last) const {
+    // In-flight key states, one ring slot per key modulo the window.
+    Pending ring[kWindow];
+    for (size_t step = 0; step < n + 3 * kPipeline; ++step) {
+      if (step < n) StageHash(keys[step], &ring[step & (kWindow - 1)]);
+      if (step >= kPipeline && step - kPipeline < n) {
+        StageMatch(&ring[(step - kPipeline) & (kWindow - 1)]);
+      }
+      if (step >= 2 * kPipeline && step - 2 * kPipeline < n) {
+        StageResolve(keys[step - 2 * kPipeline],
+                     &ring[(step - 2 * kPipeline) & (kWindow - 1)]);
+      }
+      if (step >= 3 * kPipeline) {
+        const size_t i = step - 3 * kPipeline;
+        last(i, ring[i & (kWindow - 1)]);
+      }
+    }
+  }
 
   void StageHash(int64_t key, Pending* p) const {
     p->hash = SplitMix64(static_cast<uint64_t>(key));

@@ -51,6 +51,18 @@ class JoinIndex {
     ++size_;
   }
 
+  /// Adds (keys[i], first_id + i) for i = 0..n-1, in order: the same index
+  /// as n Add calls. On kHash this is the prefetch-pipelined
+  /// FlatHashIndex::InsertRun; the tree and scan forms loop Add.
+  void AddRun(const int64_t* keys, size_t n, uint64_t first_id) {
+    if (kind_ != Kind::kHash) {
+      for (size_t i = 0; i < n; ++i) Add(keys[i], first_id + i);
+      return;
+    }
+    flat_.InsertRun(keys, n, first_id);
+    size_ += n;
+  }
+
   /// Pre-sizes the index for `n` additional entries, so bulk absorbs (a
   /// migrated partition of known size, a snapshot restore) do not trigger
   /// rehash/growth storms mid-stream.

@@ -27,13 +27,13 @@ enum class MsgType : uint8_t {
   kExpand,        // controller -> all: elastic expansion (J -> 4J)
   kCheckpoint,    // driver -> controller: barrier-mode migration checkpoint
   kResult,        // joiner -> sink / next stage: one join result (epoch-
-                  // agnostic; field use: key = join key, seq = r_seq,
+                  // agnostic; field use: key = the R tuple's join key (on
+                  // equi joins both keys are equal), seq = r_seq,
                   // tag = s_seq, bytes = r+s bytes, row = r_row ++ s_row,
                   // weight = Horvitz-Thompson weight, 1.0 unless the
-                  // emitting joiner was shedding). rel, ingest_us and key
-                  // are the probing tuple's — the one of the pair the
-                  // joiner processed later (for an equi join both keys are
-                  // equal; for a band join key is the prober's).
+                  // emitting joiner was shedding). rel and ingest_us are
+                  // the probing tuple's — the one of the pair the joiner
+                  // processed later; every other field is fixed by the pair.
                   // Agg stages emit kResult too, with: key = group key,
                   // seq = SplitMix64(key) (stable identity), tag =
                   // accumulator partition, bytes = accumulator footprint,

@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -257,6 +258,86 @@ TEST(FoldAggRows, FoldsAdditiveDeltasPerKey) {
   WeightedAccum want = first;
   want.Absorb(second);
   EXPECT_TRUE(folded[1].acc == want);
+}
+
+// ---- Router batch dispatch ----------------------------------------------------
+
+/// Records every envelope per destination, and how it left: Send calls and
+/// SendBatch runs are counted per destination.
+class RunCaptureContext : public Context {
+ public:
+  int self() const override { return 0; }
+  void Send(int to, Envelope msg) override {
+    ++sends[to];
+    delivered[to].push_back(std::move(msg));
+  }
+  void SendBatch(int to, TupleBatch&& run) override {
+    ++runs[to];
+    for (Envelope& msg : run.items) delivered[to].push_back(std::move(msg));
+    run.Clear();
+  }
+  uint64_t NowMicros() const override { return 0; }
+
+  std::map<int, std::vector<Envelope>> delivered;
+  std::map<int, int> sends;
+  std::map<int, int> runs;
+};
+
+TEST(AggRouter, DataBatchShipsOneRunPerWorkerInEnvelopeOrder) {
+  // Router 0 with its controller duty on: a skewed kResult batch is routed
+  // by OnBatch, and the same envelopes by OnMessage. Every destination must
+  // receive the same sequence (the controller's kEpochChange to the router
+  // included), and OnBatch must ship each touched worker one run.
+  AggRouterCore::Config cfg;
+  cfg.num_routers = 1;
+  cfg.num_workers = 4;
+  cfg.partitions = 16;
+  cfg.router_task_base = 0;
+  cfg.worker_task_base = 10;
+  cfg.min_total_before_adapt = 32;
+  cfg.check_every = 32;
+  AggRouterCore batched(cfg);
+  AggRouterCore looped(cfg);
+  RunCaptureContext batch_ctx;
+  RunCaptureContext loop_ctx;
+  Rng rng(5);
+  ZipfSampler zipf(64, 1.2);
+  TupleBatch batch;
+  for (uint64_t i = 0; i < 200; ++i) {
+    Envelope env;
+    env.type = MsgType::kResult;
+    env.key = static_cast<int64_t>(zipf.Sample(rng));
+    env.seq = i;
+    env.tag = 1000 + i;
+    env.bytes = 16;
+    looped.OnMessage(env, loop_ctx);
+    batch.Add(std::move(env));
+  }
+  batched.OnBatch(std::move(batch), batch_ctx);
+
+  EXPECT_EQ(batched.rebalances(), 1u);  // the controller duty ran mid-batch
+  EXPECT_EQ(batched.rebalances(), looped.rebalances());
+  EXPECT_EQ(batched.results_restamped(), looped.results_restamped());
+  const auto fields = [](const std::vector<Envelope>& msgs) {
+    std::vector<std::tuple<MsgType, int64_t, uint64_t, uint64_t, uint32_t,
+                           uint32_t>>
+        out;
+    for (const Envelope& m : msgs) {
+      out.emplace_back(m.type, m.key, m.seq, m.tag, m.epoch, m.group);
+    }
+    return out;
+  };
+  ASSERT_EQ(batch_ctx.delivered.size(), loop_ctx.delivered.size());
+  int workers_touched = 0;
+  for (const auto& [to, msgs] : loop_ctx.delivered) {
+    SCOPED_TRACE(to);
+    EXPECT_EQ(fields(batch_ctx.delivered[to]), fields(msgs));
+    if (to < cfg.worker_task_base) continue;
+    ++workers_touched;
+    EXPECT_EQ(batch_ctx.runs[to], 1);
+    EXPECT_EQ(batch_ctx.sends[to], 0);
+  }
+  EXPECT_GE(workers_touched, 2);
 }
 
 // ---- Distributed differential: AggOperator vs ReferenceAggregator ----------

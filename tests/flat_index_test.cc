@@ -1,7 +1,8 @@
 // FlatHashIndex correctness: unit tests for the tag-filtered open-addressing
-// multimap plus the randomized differential suite pinning it to a
-// std-container reference model over Zipf-skewed, duplicate-heavy key
-// streams with interleaved store/probe and partition extract/absorb cycles.
+// multimap (InsertRun against the Insert loop among them) plus the
+// randomized differential suite pinning it to a std-container reference
+// model over Zipf-skewed, duplicate-heavy key streams with interleaved
+// single and run stores, probes, and partition extract/absorb cycles.
 // (The chained HashIndex this suite originally soaked against has been
 // retired; the reference model is now the differential anchor.)
 
@@ -200,6 +201,113 @@ TEST(FlatIndex, ProbeRunShortBatches) {
 }
 
 // ---------------------------------------------------------------------------
+// InsertRun: prefetch-only, so the index must be the Insert loop's.
+// ---------------------------------------------------------------------------
+
+// Expects `got` and `want` to hold the same state: size, distinct keys,
+// footprint, and for every key in `keys` the same matches in the same order.
+void ExpectSameIndex(const FlatHashIndex& got, const FlatHashIndex& want,
+                     const std::vector<int64_t>& keys) {
+  EXPECT_EQ(got.size(), want.size());
+  EXPECT_EQ(got.distinct_keys(), want.distinct_keys());
+  EXPECT_EQ(got.MemoryBytes(), want.MemoryBytes());
+  for (int64_t key : keys) {
+    std::vector<uint64_t> got_ids, want_ids;
+    got.ForEachMatch(key, [&got_ids](uint64_t id) { got_ids.push_back(id); });
+    want.ForEachMatch(key,
+                      [&want_ids](uint64_t id) { want_ids.push_back(id); });
+    ASSERT_EQ(got_ids, want_ids) << "key " << key;
+    EXPECT_EQ(got.CountMatches(key), want.CountMatches(key));
+  }
+}
+
+// Feeds `keys` to `run` as one InsertRun and to `loop` as Insert calls,
+// both with ids first_id, first_id + 1, ...
+void InsertBoth(FlatHashIndex* run, FlatHashIndex* loop,
+                const std::vector<int64_t>& keys, uint64_t first_id) {
+  run->InsertRun(keys.data(), keys.size(), first_id);
+  for (size_t i = 0; i < keys.size(); ++i) loop->Insert(keys[i], first_id + i);
+}
+
+TEST(FlatIndex, InsertRunIntoLazyIndex) {
+  // The first InsertRun allocates the table; an empty run allocates nothing.
+  for (size_t n : {0, 1, 2, 40}) {
+    FlatHashIndex run, loop;
+    std::vector<int64_t> keys;
+    for (size_t i = 0; i < n; ++i) keys.push_back(static_cast<int64_t>(i % 3));
+    InsertBoth(&run, &loop, keys, 0);
+    if (n == 0) {
+      EXPECT_EQ(run.MemoryBytes(), 0u);
+    }
+    ExpectSameIndex(run, loop, {0, 1, 2, 3});
+  }
+}
+
+TEST(FlatIndex, InsertRunShorterThanPipelineFill) {
+  // Runs of 0..20 keys exercise the pipeline's prologue and epilogue alone
+  // (the fill is 3 * kPipeline = 15 keys), into a live index.
+  FlatHashIndex run, loop;
+  std::vector<int64_t> seen;
+  uint64_t next_id = 0;
+  for (size_t n = 0; n <= 20; ++n) {
+    std::vector<int64_t> keys;
+    for (size_t i = 0; i < n; ++i) {
+      keys.push_back(static_cast<int64_t>((n * 7 + i) % 23));
+    }
+    InsertBoth(&run, &loop, keys, next_id);
+    next_id += n;
+    seen.insert(seen.end(), keys.begin(), keys.end());
+    ExpectSameIndex(run, loop, seen);
+  }
+}
+
+TEST(FlatIndex, InsertRunAcrossRehashAndRepeatedKeys) {
+  // 16 initial slots allocate the 64-slot minimum, which grows at 56
+  // distinct keys: a run of 1,000 distinct keys crosses every doubling up
+  // to 2,048 slots mid-run. Then runs of one repeated key (inline -> run ->
+  // relocations within the run) and of alternating keys; then a Clear()ed
+  // index (allocated, empty) takes a run.
+  FlatHashIndex run(16), loop(16);
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; k < 1000; ++k) keys.push_back(k * 1000003);
+  InsertBoth(&run, &loop, keys, 0);
+  ExpectSameIndex(run, loop, keys);
+  const std::vector<int64_t> same(100, 77);
+  InsertBoth(&run, &loop, same, 1000);
+  std::vector<int64_t> alternating;
+  for (int i = 0; i < 64; ++i) alternating.push_back(i % 2 == 0 ? 5 : 0);
+  InsertBoth(&run, &loop, alternating, 1100);
+  keys.insert(keys.end(), {77, 5});
+  ExpectSameIndex(run, loop, keys);
+  run.Clear();
+  loop.Clear();
+  InsertBoth(&run, &loop, alternating, 0);
+  ExpectSameIndex(run, loop, keys);
+}
+
+TEST(FlatIndex, InsertRunMatchesInsertLoopOnZipfStreams) {
+  for (const double z : {0.0, 0.8, 1.0}) {
+    SCOPED_TRACE(z);
+    Rng rng(4242);
+    ZipfSampler zipf(2048, z);
+    FlatHashIndex run(16), loop(16);
+    std::vector<int64_t> seen;
+    uint64_t next_id = 0;
+    for (int r = 0; r < 200; ++r) {
+      std::vector<int64_t> keys(1 + rng.Uniform(96));
+      for (int64_t& key : keys) key = static_cast<int64_t>(zipf.Sample(rng));
+      InsertBoth(&run, &loop, keys, next_id);
+      next_id += keys.size();
+      seen.insert(seen.end(), keys.begin(), keys.end());
+    }
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+    seen.push_back(-1);  // absent
+    ExpectSameIndex(run, loop, seen);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized differential: flat vs the std-container reference over
 // Zipf-skewed duplicate-heavy streams with interleaved store/probe and
 // partition extract/absorb.
@@ -224,7 +332,17 @@ TEST(FlatIndexDifferential, ZipfStreamsWithExtractAbsorb) {
     uint64_t next_id = 0;
     for (int op = 0; op < 30000; ++op) {
       const double dice = rng.NextDouble();
-      if (dice < 0.70) {
+      if (dice < 0.02) {
+        // Store run: 1..32 keys with consecutive ids through InsertRun.
+        std::vector<int64_t> keys(1 + rng.Uniform(32));
+        for (int64_t& key : keys) key = static_cast<int64_t>(zipf.Sample(rng));
+        flat.InsertRun(keys.data(), keys.size(), next_id);
+        for (const int64_t key : keys) {
+          ref.Insert(key, next_id);
+          log.emplace_back(key, next_id);
+          ++next_id;
+        }
+      } else if (dice < 0.70) {
         // Store.
         const int64_t key = static_cast<int64_t>(zipf.Sample(rng));
         flat.Insert(key, next_id);

@@ -123,7 +123,8 @@ TEST(JoinerProtocol, RelationGroupedBatchMatchesEnvelopeLoop) {
   // order. Each pair is emitted by whichever of its tuples is processed
   // later, so both emit the same results — only their order and, for a
   // pair whose S tuple precedes its R tuple in one batch, the probing side
-  // (the result's rel, ingest_us and, on band joins, key) may differ.
+  // (the result's rel and ingest_us) may differ. The result key is the R
+  // tuple's on both paths, also on band joins, where the two keys differ.
   std::map<uint64_t, int64_t> key_of;  // input seq -> key
   const auto data = [&key_of](Rel rel, int64_t key, uint64_t seq) {
     Envelope env = Data(rel, key, kTagLow, seq, 0);
@@ -173,18 +174,14 @@ TEST(JoinerProtocol, RelationGroupedBatchMatchesEnvelopeLoop) {
     for (const Rel rel : {Rel::kR, Rel::kS}) {
       EXPECT_EQ(batched.stored_count(rel), looped.stored_count(rel));
     }
-    // (seq, tag, key, bytes, weight) multisets. A result's key is its
-    // probing tuple's: on band joins either of the pair's two keys, so it
-    // is checked to be one of them and then compared as the R key.
+    // (seq, tag, key, bytes, weight) multisets; every result's key is its
+    // R tuple's (seq is r_seq).
     std::vector<Result> got = SentResults(batch_ctx);
     std::vector<Result> want = SentResults(loop_ctx);
     ASSERT_EQ(got.size(), batched.output_count());
     for (std::vector<Result>* results : {&got, &want}) {
       for (Result& res : *results) {
-        const int64_t r_key = key_of.at(std::get<0>(res));
-        const int64_t s_key = key_of.at(std::get<1>(res));
-        EXPECT_TRUE(std::get<2>(res) == r_key || std::get<2>(res) == s_key);
-        std::get<2>(res) = r_key;
+        EXPECT_EQ(std::get<2>(res), key_of.at(std::get<0>(res)));
         std::get<5>(res) = Rel::kR;
         std::get<6>(res) = 0;
       }
