@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -196,15 +198,31 @@ class JsonRow {
 #define AJOIN_BENCH_CXX_FLAGS "unknown"
 #endif
 
+/// The recording host: CPU model and hardware threads.
+inline std::string HostDescription() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line, model = "unknown cpu";
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon != std::string::npos) model = line.substr(colon + 2);
+      break;
+    }
+  }
+  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads";
+}
+
 class JsonResult {
  public:
   explicit JsonResult(std::string bench_name)
       : bench_name_(std::move(bench_name)) {
-    // Every BENCH_*.json carries the commit, build type, and compiler flags
-    // it was measured under, so numbers are comparable across PRs.
+    // Every BENCH_*.json carries the commit, build type, compiler flags and
+    // host it was measured on, so numbers are comparable across PRs.
     meta_.Add("commit", AJOIN_BENCH_COMMIT)
         .Add("build_type", AJOIN_BENCH_BUILD_TYPE)
-        .Add("cxx_flags", AJOIN_BENCH_CXX_FLAGS);
+        .Add("cxx_flags", AJOIN_BENCH_CXX_FLAGS)
+        .Add("host", HostDescription());
   }
 
   /// Top-level metadata (dataset, calibration, units, ...).
@@ -246,6 +264,12 @@ inline std::string Secs(double s, bool spilled) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.0f%s", s, spilled ? "*" : "");
   return buf;
+}
+
+/// "OK" when `value` meets its acceptance target `required`, "BELOW"
+/// otherwise; printed beside each acceptance line.
+inline const char* Verdict(double value, double required) {
+  return value >= required ? "OK" : "BELOW";
 }
 
 inline void PrintHeader(const char* title) {

@@ -26,8 +26,10 @@
 //    assignment bottlenecks on the owner of the head partitions.
 //
 // Acceptance: modeled adaptive W=8 >= 4x modeled W=1 at z = 1.1 (scaling
-// must survive skew, migration costs included). Emits
-// BENCH_agg_throughput.json. `--smoke` shrinks sizes for CI.
+// must survive skew, migration costs included). The line prints OK or BELOW
+// and the target goes into the JSON meta as required_modeled_scaling_skew;
+// the exit code does not depend on it. Emits BENCH_agg_throughput.json.
+// `--smoke` shrinks sizes for CI.
 
 #include <atomic>
 #include <cstdint>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "reference/aggregator.h"
 #include "src/common/random.h"
 #include "src/common/stopwatch.h"
 #include "src/core/agg.h"
@@ -288,6 +291,7 @@ int main(int argc, char** argv) {
   const std::vector<uint32_t> modeled_counts =
       smoke ? std::vector<uint32_t>{1, 8} : std::vector<uint32_t>{1, 2, 4, 8};
 
+  const double kRequiredModeledScaling = 4.0;
   JsonResult out("agg_throughput");
   out.meta()
       .Add("unit", "tuples_per_sec")
@@ -304,7 +308,8 @@ int main(int argc, char** argv) {
            "deterministic SimEngine with cost-model accounting (busy = "
            "merges * sec_per_in_tuple + migrated cells * sec_per_mig_tuple, "
            "exec = max over workers) — the same modeling the fig7/fig8 "
-           "paper figures use, so worker scaling is visible on any host");
+           "paper figures use, so worker scaling is visible on any host")
+      .Add("required_modeled_scaling_skew", kRequiredModeledScaling);
 
   bench::PrintHeader("Group-by throughput: engine x Zipf z");
   std::printf("%-6s %-16s %8s %14s %10s %6s\n", "z", "engine", "workers",
@@ -356,9 +361,10 @@ int main(int argc, char** argv) {
       modeled_frozen_skew > 0 ? modeled_wmax_skew / modeled_frozen_skew : 0;
   std::printf(
       "\nacceptance: modeled adaptive W=%u vs W=1 at z=%.1f (skewed): "
-      "%.2fx (>= 4x required); adaptive vs frozen at W=%u: %.2fx\n",
-      modeled_counts.back(), kSkewZ, scaling, modeled_counts.back(),
-      vs_frozen);
+      "%.2fx (>= %.0fx required) %s; adaptive vs frozen at W=%u: %.2fx\n",
+      modeled_counts.back(), kSkewZ, scaling, kRequiredModeledScaling,
+      bench::Verdict(scaling, kRequiredModeledScaling),
+      modeled_counts.back(), vs_frozen);
   out.meta().Add("modeled_scaling_skew", scaling);
   out.meta().Add("modeled_adaptive_vs_frozen_skew", vs_frozen);
   out.Write();

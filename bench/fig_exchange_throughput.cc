@@ -1,28 +1,16 @@
 // Exchange-plane throughput: per-tuple (batch_size 1 — the reference
 // configuration since the mutex Channel plane's retirement) vs. batched
-// (src/exchange/) shipping, across batch sizes, thread counts, and — new
-// with batch-aware operator dispatch — the dispatch axis: `envelope` (the
-// engine unpacks every batch into one OnMessage call per envelope, the
-// PR-1 baseline) vs `batch` (the engine hands whole batches to
-// Task::OnBatch, so reshuffler routing and joiner store/probe run their
-// one-pass batch specializations).
+// (src/exchange/) shipping, across batch sizes and thread counts. Every mode
+// dispatches through Task::OnBatch; at batch_size 1 each batch holds one
+// envelope.
 //
 // Three sections:
 //  1. raw fan-out — an external producer round-robins envelopes over N sink
 //     tasks; isolates pure exchange cost (no join work). Batched exchange
 //     must move >= 3x the tuples/sec of per-tuple exchange here.
-//  2. ingress scaling — the `ingress` axis: N concurrent producer threads
-//     drive the same fan-out through one shared IngressPort behind a mutex
-//     (`post`: every caller serializes on the shared port's lock — the
-//     exact pattern of the now-retired global Engine::Post shim, emulated
-//     without the deprecated API), through one IngressPort each with
-//     per-envelope Post (`port`: dedicated SPSC lanes, isolates the
-//     removed serialization point), or through one IngressPort each
-//     posting size-targeted PostBatch runs (`port-batch`: the batch
-//     ingress the old single-envelope API could not express). port-batch
-//     must show a measurable gain at >= 2 producers on any host; plain
-//     port-vs-post is contention-bound and reaches parity on a
-//     single-core host.
+//  2. ingress scaling — the `ingress` axis: N concurrent producer threads,
+//     one IngressPort each, drive the same fan-out with per-envelope Post
+//     (`port`) or with size-targeted PostBatch runs (`port-batch`).
 //  3. 4-joiner join run — a static (n,m)-mapped equi-join on ThreadEngine.
 //     End-to-end tuples/sec is reported as-is, but on a small host the run
 //     is compute-bound (probe/store/index work), so the exchange comparison
@@ -30,15 +18,17 @@
 //     beyond the zero-synchronization compute ceiling, which the bench
 //     measures by running the identical operator + stream on the
 //     deterministic SimEngine. Batched (batch >= 64) must cut that overhead
-//     by >= 3x vs per-tuple exchange, and batch dispatch must cut it by
-//     >= 1.5x vs envelope dispatch at the same batch size.
+//     by >= 3x vs per-tuple exchange.
+//
+// Each acceptance line prints OK or BELOW against its target, and the
+// targets are written into the JSON meta as required_*; the exit code does
+// not depend on them.
 //
 // Emits BENCH_exchange_throughput.json via the shared JSON writer.
 
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,17 +53,13 @@ namespace {
 struct Mode {
   const char* name;
   uint32_t batch_size;
-  bool batch_dispatch;  // OnBatch vs per-envelope unpack
 };
 
-const char* DispatchName(const Mode& mode) {
-  return mode.batch_dispatch ? "batch" : "envelope";
-}
-
-std::unique_ptr<ThreadEngine> MakeEngine(const Mode& mode) {
+std::unique_ptr<ThreadEngine> MakeEngine(const Mode& mode,
+                                         TraceRing* trace = nullptr) {
   ExchangeConfig config;
   config.batch_size = mode.batch_size;
-  config.batch_dispatch = mode.batch_dispatch;
+  config.trace = trace;
   return std::make_unique<ThreadEngine>(config);
 }
 
@@ -88,12 +74,11 @@ class SinkTask : public Task {
   uint64_t count_ = 0;
 };
 
-/// Section 1: raw exchange fan-out, no operator logic. Sinks have no OnBatch
-/// specialization, so the dispatch axis is irrelevant here and the modes
-/// sweep batch size only.
+/// Section 1: raw exchange fan-out, no operator logic; the modes sweep
+/// batch size.
 const Mode kRawModes[] = {
-    {"batched-1", 1, true},     {"batched-16", 16, true},
-    {"batched-64", 64, true},   {"batched-256", 256, true},
+    {"batched-1", 1},   {"batched-16", 16},
+    {"batched-64", 64}, {"batched-256", 256},
 };
 
 double RawFanout(const Mode& mode, int sinks, uint64_t envelopes) {
@@ -118,26 +103,15 @@ double RawFanout(const Mode& mode, int sinks, uint64_t envelopes) {
   return static_cast<double>(envelopes) / secs;
 }
 
-/// Section 2 ingress modes. The old API could only ever post one envelope
-/// at a time through the global shim; the port API adds both the dedicated
-/// per-producer lane and batch posting, so both are measured:
-///  - kGlobalPost: every producer thread posts through ONE shared
-///    IngressPort behind a mutex — the serialization pattern of the
-///    retired Engine::Post shim (shared default port + global lock),
-///    emulated without the deprecated API so the axis stays comparable
-///    across PRs after the shim's bench call sites were migrated.
-///  - kPortPost: one IngressPort per producer, per-envelope Post. Isolates
-///    the serialization point alone; the win is contention-bound, so
-///    expect parity on a single-core host and growth with real cores.
-///  - kPortBatch: one IngressPort per producer, size-targeted PostBatch
-///    runs — the ingress the old API could not express. Amortizes the port
-///    lock, in-flight accounting, and edge work over the run, so it wins
-///    even without parallelism.
-enum class IngressMode { kGlobalPost, kPortPost, kPortBatch };
+/// Section 2 ingress modes, one IngressPort (dedicated SPSC lanes) per
+/// producer thread:
+///  - kPortPost: per-envelope Post.
+///  - kPortBatch: size-targeted PostBatch runs, which amortize the port
+///    lock, in-flight accounting, and edge work over the run.
+enum class IngressMode { kPortPost, kPortBatch };
 
 const char* IngressName(IngressMode mode) {
   switch (mode) {
-    case IngressMode::kGlobalPost: return "post";
     case IngressMode::kPortPost: return "port";
     case IngressMode::kPortBatch: return "port-batch";
   }
@@ -156,30 +130,15 @@ double IngressScaling(IngressMode mode, int producers, int sinks,
     engine.AddTask(std::make_unique<SinkTask>());
   }
   engine.Start();
-  // The `post` mode's shared serialization point: one port, one lock, all
-  // producers — what the retired Engine::Post shim did internally.
-  std::unique_ptr<IngressPort> shared_port;
-  std::mutex shared_mu;
-  if (mode == IngressMode::kGlobalPost) shared_port = engine.OpenIngress(0);
   const uint64_t per_producer = envelopes / static_cast<uint64_t>(producers);
   Stopwatch clock;
   std::vector<std::thread> threads;
   threads.reserve(static_cast<size_t>(producers));
   for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&engine, &config, &shared_port, &shared_mu, mode,
-                          sinks, per_producer, p] {
+    threads.emplace_back([&engine, &config, mode, sinks, per_producer, p] {
       Envelope env;
       env.type = MsgType::kInput;
       const uint64_t base = static_cast<uint64_t>(p) * per_producer;
-      if (mode == IngressMode::kGlobalPost) {
-        for (uint64_t i = 0; i < per_producer; ++i) {
-          env.seq = base + i;
-          std::lock_guard<std::mutex> lock(shared_mu);
-          shared_port->Post(static_cast<int>(i % static_cast<uint64_t>(sinks)),
-                            Envelope(env));
-        }
-        return;
-      }
       std::unique_ptr<IngressPort> port = engine.OpenIngress(0);
       if (mode == IngressMode::kPortPost) {
         for (uint64_t i = 0; i < per_producer; ++i) {
@@ -209,7 +168,6 @@ double IngressScaling(IngressMode mode, int producers, int sinks,
     });
   }
   for (std::thread& t : threads) t.join();
-  if (shared_port != nullptr) shared_port->Flush();
   engine.WaitQuiescent();
   double secs = clock.ElapsedSeconds();
   engine.Shutdown();
@@ -251,17 +209,16 @@ OperatorConfig StaticJoinConfig(uint32_t machines) {
   return cfg;
 }
 
-/// Section 2 modes: the per-tuple reference (batch_size 1) plus batch sizes
-/// 16/64/256, each under both dispatch kinds so the axis is measured at
-/// equal batching.
+/// Section 3 modes: the per-tuple reference (batch_size 1) plus batch sizes
+/// 16/64/256.
 const Mode kJoinModes[] = {
-    {"batched-1", 1, false},
-    {"b16/env", 16, false},   {"b16/batch", 16, true},
-    {"b64/env", 64, false},   {"b64/batch", 64, true},
-    {"b256/env", 256, false}, {"b256/batch", 256, true},
+    {"batched-1", 1},
+    {"b16/batch", 16},
+    {"b64/batch", 64},
+    {"b256/batch", 256},
 };
 
-/// Section 2: end-to-end static join run on the threaded engine. Best of
+/// Section 3: end-to-end static join run on the threaded engine. Best of
 /// `reps` to damp scheduler noise; the 4J point carries the overhead metric
 /// and gets extra reps. With `egress_sink`, every joiner streams its
 /// results to one ResultSink task as kResult batches (the `sink` value of
@@ -271,22 +228,14 @@ JoinRunResult JoinRun(const Mode& mode, uint32_t machines,
                       bool egress_sink = false, bool telemetry = false) {
   JoinRunResult result;
   for (int rep = 0; rep < reps; ++rep) {
-    // Telemetry axis state (batched modes only): registry + trace wired into
-    // the operator and plane, a ControlLoop sampling on its own thread at
-    // the default period — the whole live-observability plane running
-    // during the measured window.
+    // Telemetry axis state: registry + trace wired into the operator and
+    // plane, a ControlLoop sampling on its own thread at the default
+    // period — the whole live-observability plane running during the
+    // measured window.
     TraceRing trace(4096);
     MetricsRegistry registry;
-    std::unique_ptr<ThreadEngine> engine;
-    if (telemetry) {
-      ExchangeConfig xc;
-      xc.batch_size = mode.batch_size;
-      xc.batch_dispatch = mode.batch_dispatch;
-      xc.trace = &trace;
-      engine = std::make_unique<ThreadEngine>(xc);
-    } else {
-      engine = MakeEngine(mode);
-    }
+    std::unique_ptr<ThreadEngine> engine =
+        MakeEngine(mode, telemetry ? &trace : nullptr);
     OperatorConfig cfg = StaticJoinConfig(machines);
     if (telemetry) {
       cfg.registry = &registry;
@@ -349,6 +298,9 @@ double SimCeiling(uint32_t machines, const std::vector<StreamTuple>& stream,
 }  // namespace
 
 int main() {
+  const double kRequiredRawSpeedup = 3.0;
+  const double kRequiredOverheadReduction = 3.0;
+  const double kRequiredTelemetryRatio = 0.98;
   JsonResult out("exchange_throughput");
   out.meta()
       .Add("unit", "tuples_per_sec")
@@ -356,20 +308,21 @@ int main() {
       .Add("reps", "5 on 4J join runs, 2 on 2J/8J, 3 on raw fan-out")
       .Add("note", "per-tuple reference = batched-1 (batch_size 1; the "
                    "mutex Channel plane is retired); bN = src/exchange "
-                   "plane with batch_size N; dispatch env = engine unpacks "
-                   "batches into OnMessage, batch = whole-batch OnBatch into "
-                   "the operators; overhead_ns = per-tuple wall time beyond "
-                   "the SimEngine compute ceiling; ingress post = all "
-                   "producers serialized on one shared IngressPort behind a "
-                   "mutex (the retired Engine::Post shim's pattern, now "
-                   "emulated without the deprecated API), port = one "
+                   "plane with batch_size N; every mode hands each consumed "
+                   "batch to OnBatch; overhead_ns = per-tuple wall time beyond "
+                   "the SimEngine compute ceiling; ingress port = one "
                    "IngressPort (dedicated SPSC lanes) per producer posting "
                    "per envelope, port-batch = one IngressPort per producer "
                    "shipping size-targeted PostBatch runs; egress poll = results "
                    "counted locally and read at quiescence, sink = joiners "
                    "stream kResult batches to a ResultSink task (the "
                    "join_4j_egress section runs a match-producing stream, "
-                   "~1 result/tuple)");
+                   "~1 result/tuple)")
+      .Add("required_raw_speedup_batched_vs_per_tuple", kRequiredRawSpeedup)
+      .Add("required_join4j_overhead_reduction_batched_vs_per_tuple",
+           kRequiredOverheadReduction)
+      .Add("required_join4j_telemetry_overhead_ratio",
+           kRequiredTelemetryRatio);
 
   // ---- Section 1: pure exchange -------------------------------------------
   bench::PrintHeader("Exchange throughput 1/3: raw fan-out, 4 sinks");
@@ -398,38 +351,24 @@ int main() {
   // ---- Section 2: multi-producer ingress ----------------------------------
   bench::PrintHeader(
       "Exchange throughput 2/3: ingress scaling, 4 sinks "
-      "(ingress=post|port|port-batch)");
+      "(ingress=port|port-batch)");
   const uint64_t kIngressEnvelopes = 200000;
   const int kProducerCounts[] = {1, 2, 4};
-  const IngressMode kIngressModes[] = {IngressMode::kGlobalPost,
-                                       IngressMode::kPortPost,
+  const IngressMode kIngressModes[] = {IngressMode::kPortPost,
                                        IngressMode::kPortBatch};
-  double ingress_speedup_2p = 0, ingress_speedup_4p = 0;
-  double port_vs_post_2p = 0, port_vs_post_4p = 0;
-  std::printf("%-10s %14s %14s %14s %11s %10s\n", "producers", "post (env/s)",
-              "port (env/s)", "pbatch (env/s)", "pbatch/post", "port/post");
+  std::printf("%-10s %14s %14s\n", "producers", "port (env/s)",
+              "pbatch (env/s)");
   for (int producers : kProducerCounts) {
-    double rate[3] = {0, 0, 0};
+    double rate[2] = {0, 0};
     for (int rep = 0; rep < 3; ++rep) {
-      for (int m = 0; m < 3; ++m) {
+      for (int m = 0; m < 2; ++m) {
         rate[m] = std::max(rate[m], IngressScaling(kIngressModes[m], producers,
                                                    /*sinks=*/4,
                                                    kIngressEnvelopes));
       }
     }
-    const double batch_speedup = rate[0] > 0 ? rate[2] / rate[0] : 0;
-    const double port_speedup = rate[0] > 0 ? rate[1] / rate[0] : 0;
-    if (producers == 2) {
-      ingress_speedup_2p = batch_speedup;
-      port_vs_post_2p = port_speedup;
-    }
-    if (producers == 4) {
-      ingress_speedup_4p = batch_speedup;
-      port_vs_post_4p = port_speedup;
-    }
-    std::printf("%-10d %14.0f %14.0f %14.0f %10.2fx %9.2fx\n", producers,
-                rate[0], rate[1], rate[2], batch_speedup, port_speedup);
-    for (int m = 0; m < 3; ++m) {
+    std::printf("%-10d %14.0f %14.0f\n", producers, rate[0], rate[1]);
+    for (int m = 0; m < 2; ++m) {
       out.AddRow()
           .Add("section", "ingress_scaling")
           .Add("ingress", IngressName(kIngressModes[m]))
@@ -469,15 +408,8 @@ int main() {
   std::printf("   xchg overhead ns/tuple (4J)\n");
   double batched1_4j = 0;
   double best_batched_4j = 0;
-  // Best (lowest) 4J overhead across batch-dispatch modes >= 64 (for the
-  // vs-per-tuple metric), plus per-size env/batch pairs so the dispatch
-  // axis compares at equal wire batching.
+  // Best (lowest) 4J overhead across modes with batch_size >= 64.
   double overhead_batch_ns = -1;
-  struct DispatchPair {
-    uint32_t size;
-    double env = -1, batch = -1;
-  };
-  DispatchPair dispatch_pairs[] = {{64, -1, -1}, {256, -1, -1}};
   for (const Mode& mode : kJoinModes) {
     std::printf("%-12s", mode.name);
     double overhead_4j = 0;
@@ -495,22 +427,15 @@ int main() {
         overhead_4j = overhead_ns;
         if (mode.batch_size == 1) batched1_4j = r.tuples_per_sec;
         if (mode.batch_size >= 64) {
-          if (mode.batch_dispatch) {
-            best_batched_4j = std::max(best_batched_4j, r.tuples_per_sec);
-            if (overhead_batch_ns < 0 || overhead_ns < overhead_batch_ns) {
-              overhead_batch_ns = overhead_ns;
-            }
-          }
-          for (DispatchPair& pair : dispatch_pairs) {
-            if (pair.size != mode.batch_size) continue;
-            (mode.batch_dispatch ? pair.batch : pair.env) = overhead_ns;
+          best_batched_4j = std::max(best_batched_4j, r.tuples_per_sec);
+          if (overhead_batch_ns < 0 || overhead_ns < overhead_batch_ns) {
+            overhead_batch_ns = overhead_ns;
           }
         }
       }
       JsonRow& row = out.AddRow();
       row.Add("section", "join_4j_static")
           .Add("mode", mode.name)
-          .Add("dispatch", DispatchName(mode))
           .Add("index", "flat")
           .Add("batch_size", static_cast<int>(mode.batch_size))
           .Add("machines", static_cast<int>(machines))
@@ -564,7 +489,6 @@ int main() {
       out.AddRow()
           .Add("section", "join_4j_egress")
           .Add("mode", mode.name)
-          .Add("dispatch", DispatchName(mode))
           .Add("egress", e == 0 ? "poll" : "sink")
           .Add("batch_size", static_cast<int>(mode.batch_size))
           .Add("machines", 4)
@@ -596,9 +520,11 @@ int main() {
           : 0;
   std::printf("\n%-14s %12s   (telemetry axis, b64/batch, 4J)\n", "telemetry",
               "tuples/s");
-  std::printf("%-14s %12.0f\n%-14s %12.0f   ratio %.3fx (>= 0.98 required)\n",
+  std::printf("%-14s %12.0f\n%-14s %12.0f   ratio %.3fx (>= %.2f required) "
+              "%s\n",
               "off", tel_off.tuples_per_sec, "on", tel_on.tuples_per_sec,
-              telemetry_ratio);
+              telemetry_ratio, kRequiredTelemetryRatio,
+              bench::Verdict(telemetry_ratio, kRequiredTelemetryRatio));
   for (int e = 0; e < 2; ++e) {
     const JoinRunResult& r = e == 0 ? tel_off : tel_on;
     out.AddRow()
@@ -660,58 +586,25 @@ int main() {
       std::max(1.0, 1e9 / per_tuple_best - ceiling_ns);
   const double overhead_batched_ns = std::max(1.0, overhead_batch_ns);
   const double overhead_ratio = overhead_per_tuple_ns / overhead_batched_ns;
-  // Dispatch axis: best same-size env/batch pairing, so wire batching is
-  // equal on both sides of the ratio.
-  double dispatch_ratio = 0;
-  uint32_t dispatch_size = 0;
-  double dispatch_env_ns = 0, dispatch_batch_ns = 0;
-  for (const DispatchPair& pair : dispatch_pairs) {
-    if (pair.env < 0 || pair.batch < 0) continue;
-    const double env = std::max(1.0, pair.env);
-    const double batch = std::max(1.0, pair.batch);
-    if (env / batch > dispatch_ratio) {
-      dispatch_ratio = env / batch;
-      dispatch_size = pair.size;
-      dispatch_env_ns = env;
-      dispatch_batch_ns = batch;
-    }
-  }
   std::printf(
       "\nacceptance (batched, batch >= 64, vs per-tuple exchange):\n"
-      "  raw 4-sink fan-out:          %.2fx tuples/sec (>= 3x required)\n"
+      "  raw 4-sink fan-out:          %.2fx tuples/sec (>= %.0fx required) "
+      "%s\n"
       "  4-joiner run, end-to-end:    %.2fx tuples/sec vs batch=1 "
       "(compute-bound on this host:\n"
       "                               ceiling %.2fx of per-tuple rate "
       "caps any exchange speedup)\n"
       "  4-joiner exchange overhead:  %.1fx reduction "
-      "(%.0f -> %.0f ns/tuple, >= 3x required)\n"
-      "  4-joiner dispatch axis:      %.2fx overhead reduction, batch vs "
-      "envelope dispatch\n"
-      "                               (batch_size %u: %.0f -> %.0f "
-      "ns/tuple, >= 1.5x required)\n"
-      "  ingress axis (4 sinks):      port-batch vs global-mutex post, "
-      "%.2fx at 2 producers,\n"
-      "                               %.2fx at 4 producers (>= 1.2x at >= 2 "
-      "required);\n"
-      "                               per-envelope port vs post %.2fx / "
-      "%.2fx (contention-bound:\n"
-      "                               parity expected on a single-core "
-      "host)\n",
-      raw_speedup, e2e_speedup, ceiling_4j / per_tuple_best,
-      overhead_ratio, overhead_per_tuple_ns, overhead_batched_ns,
-      dispatch_ratio, dispatch_size, dispatch_env_ns, dispatch_batch_ns,
-      ingress_speedup_2p, ingress_speedup_4p, port_vs_post_2p,
-      port_vs_post_4p);
+      "(%.0f -> %.0f ns/tuple, >= %.0fx required) %s\n",
+      raw_speedup, kRequiredRawSpeedup,
+      bench::Verdict(raw_speedup, kRequiredRawSpeedup), e2e_speedup,
+      ceiling_4j / per_tuple_best, overhead_ratio, overhead_per_tuple_ns,
+      overhead_batched_ns, kRequiredOverheadReduction,
+      bench::Verdict(overhead_ratio, kRequiredOverheadReduction));
   out.meta()
       .Add("raw_speedup_batched_vs_per_tuple", raw_speedup)
       .Add("join4j_e2e_speedup_batched_vs_batch1", e2e_speedup)
       .Add("join4j_overhead_reduction_batched_vs_per_tuple", overhead_ratio)
-      .Add("join4j_overhead_reduction_batch_vs_envelope_dispatch",
-           dispatch_ratio)
-      .Add("ingress_speedup_portbatch_vs_post_2producers", ingress_speedup_2p)
-      .Add("ingress_speedup_portbatch_vs_post_4producers", ingress_speedup_4p)
-      .Add("ingress_speedup_port_vs_post_2producers", port_vs_post_2p)
-      .Add("ingress_speedup_port_vs_post_4producers", port_vs_post_4p)
       .Add("egress_sink_vs_poll_b64_batch", egress_ratio_b64)
       .Add("join4j_telemetry_overhead_ratio", telemetry_ratio)
       .Add("join4j_edge_credit_waits", edge_credit_waits)

@@ -14,16 +14,16 @@
 //
 // Acceptance: ProbeRun >= 1.2x scalar probes/sec on the duplicate-heavy
 // Zipf configuration (z = 1.0) — the prefetch pipeline must pay for itself
-// where misses dominate. The insert ratio at z = 0 is printed beside it.
+// where misses dominate. The line prints OK or BELOW and the target goes
+// into the JSON meta as required_run_vs_scalar_z1; the exit code does not
+// depend on it. The insert ratio at z = 0 is printed beside it.
 //
 // `--smoke` shrinks sizes/reps for CI. Emits BENCH_probe_throughput.json.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -72,21 +72,6 @@ std::vector<int64_t> MakeKeys(uint64_t n, uint64_t domain, double z,
     keys.push_back(static_cast<int64_t>(zipf.Sample(rng)));
   }
   return keys;
-}
-
-// The recording host: CPU model and hardware threads.
-std::string HostDescription() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line, model = "unknown cpu";
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const size_t colon = line.find(':');
-      if (colon != std::string::npos) model = line.substr(colon + 2);
-      break;
-    }
-  }
-  return model + ", " + std::to_string(std::thread::hardware_concurrency()) +
-         " hardware threads";
 }
 
 // Builds the index the way JoinerCore stores into a growing one (no
@@ -178,9 +163,9 @@ int main(int argc, char** argv) {
   const Sizes sizes = smoke ? Sizes{100000, 100000, 1}
                             : Sizes{1000000, 500000, 2};
 
+  const double kRequiredRunVsScalarZ1 = 1.2;
   JsonResult out("probe_throughput");
   out.meta()
-      .Add("host", HostDescription())
       .Add("unit", "probes_per_sec (probe rows), inserts_per_sec (insert "
                    "rows)")
       .Add("measure", smoke ? "wall_clock_smoke" : "wall_clock_best_of_n")
@@ -197,7 +182,8 @@ int main(int argc, char** argv) {
            "run = batched ProbeRun over 256-key runs (software-prefetch-"
            "pipelined, each match gathering its stored-entry payload as the "
            "joiner does); domain = build_n/16 keys so z=0 is ~16 duplicates "
-           "per key and z=1.0 is the duplicate-heavy skewed configuration");
+           "per key and z=1.0 is the duplicate-heavy skewed configuration")
+      .Add("required_run_vs_scalar_z1", kRequiredRunVsScalarZ1);
 
   // Per-skew probe budgets: expected matches per probe grow with
   // build_n * sum(p_k^2) (~16 at z=0, ~12000 at z=1.0 for the full build),
@@ -282,8 +268,9 @@ int main(int argc, char** argv) {
       insert_scalar_z0 > 0 ? insert_run_z0 / insert_scalar_z0 : 0;
   std::printf(
       "\nacceptance: run vs scalar at z=1.0 (duplicate-heavy): "
-      "%.2fx (>= 1.2x required)\n",
-      speedup);
+      "%.2fx (>= %.1fx required) %s\n",
+      speedup, kRequiredRunVsScalarZ1,
+      bench::Verdict(speedup, kRequiredRunVsScalarZ1));
   std::printf("insert run vs scalar at z=0: %.2fx\n", insert_speedup);
   out.meta().Add("run_vs_scalar_z1", speedup);
   out.meta().Add("insert_run_vs_scalar_z0", insert_speedup);

@@ -4,13 +4,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include "reference/local_join.h"
 #include "src/common/random.h"
 #include "src/core/migration.h"
 #include "src/core/operator.h"
 #include "src/core/partition.h"
 #include "src/index/btree.h"
 #include "src/index/flat_index.h"
-#include "src/localjoin/local_join.h"
 #include "src/runtime/thread_engine.h"
 #include "src/sim/sim_engine.h"
 

@@ -5,7 +5,7 @@
 // B's result stream straight into a group-by tail (per-supplier revenue
 // proxy: COUNT/SUM over result bytes, keyed by s_suppkey). No intermediate
 // relation is materialized (contrast with the Squall pattern
-// src/query/pipeline.h implements, where every intermediate is realized
+// reference/pipeline.h implements, where every intermediate is realized
 // before online processing), and the adaptive controller migrates mappings
 // live in every stage — join and aggregate alike.
 //
@@ -18,10 +18,10 @@
 #include <cstdio>
 #include <memory>
 
+#include "reference/pipeline.h"
 #include "src/core/control_loop.h"
 #include "src/datagen/tpch.h"
 #include "src/query/dataflow.h"
-#include "src/query/pipeline.h"
 #include "src/sim/sim_engine.h"
 
 using namespace ajoin;

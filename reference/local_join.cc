@@ -1,4 +1,4 @@
-#include "src/localjoin/local_join.h"
+#include "reference/local_join.h"
 
 namespace ajoin {
 

@@ -1,39 +1,32 @@
-// LocalJoiner: a single-machine non-blocking (pipelined/symmetric) join.
+// LocalJoiner: a single-machine non-blocking (pipelined/symmetric) join,
+// kept as a test oracle and as the local join of the materialized pipeline
+// baseline (reference/pipeline.h). No part of src/ reaches it.
 //
-// This is the "any flavor of non-blocking join algorithm" each joiner task
+// It is the "any flavor of non-blocking join algorithm" each joiner task
 // runs locally (paper section 3.2): incoming tuples are joined against the
 // stored opposite relation, then stored themselves. Depending on the
 // predicate it behaves as a symmetric hash join (equi), a tree-based band
-// join, or a symmetric nested-loop join (theta). With a memory budget it
-// overflows to the SpillStore, reproducing XJoin-style out-of-core behavior.
+// join, or a symmetric nested-loop join (theta). Both relations stay in
+// memory.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/localjoin/join_index.h"
 #include "src/localjoin/predicate.h"
-#include "src/storage/row_store.h"
-#include "src/storage/spill_store.h"
+#include "src/tuple/row.h"
 
 namespace ajoin {
 
 class LocalJoiner {
  public:
-  /// memory_budget_bytes = 0: fully in memory. Otherwise each side spills
-  /// past (roughly) half the budget.
-  explicit LocalJoiner(JoinSpec spec, size_t memory_budget_bytes = 0)
+  explicit LocalJoiner(JoinSpec spec)
       : spec_(std::move(spec)),
         index_{JoinIndex(JoinIndex::KindFor(spec_.kind)),
-               JoinIndex(JoinIndex::KindFor(spec_.kind))} {
-    if (memory_budget_bytes > 0) {
-      spill_[0] = std::make_unique<SpillStore>(memory_budget_bytes / 2);
-      spill_[1] = std::make_unique<SpillStore>(memory_budget_bytes / 2);
-    }
-  }
+               JoinIndex(JoinIndex::KindFor(spec_.kind))} {}
 
   /// Inserts a tuple and emits all new join results against stored state.
   /// emit(r_row, s_row) is called once per match.
@@ -43,7 +36,7 @@ class LocalJoiner {
     Store(rel, row);
   }
 
-  /// Probe-only (used by the grouped operator for cross-group probes).
+  /// Probe-only (the pipeline baseline probes a stored build side).
   template <typename Emit>
   void Probe(Rel rel, const Row& row, Emit&& emit) {
     const Rel opp = Opposite(rel);
@@ -53,14 +46,14 @@ class LocalJoiner {
       spec_.ProbeRange(rel, spec_.KeyOf(rel, row), &lo, &hi);
     }
     index_[opp_i].ForEachCandidate(lo, hi, [&](uint64_t id) {
-      const Row* stored = GetRow(opp, id, &scratch_);
-      bool match = (rel == Rel::kR) ? PairMatches(row, *stored)
-                                    : PairMatches(*stored, row);
+      const Row& stored = rows_[opp_i][id];
+      bool match = (rel == Rel::kR) ? PairMatches(row, stored)
+                                    : PairMatches(stored, row);
       if (match) {
         if (rel == Rel::kR) {
-          emit(row, *stored);
+          emit(row, stored);
         } else {
-          emit(*stored, row);
+          emit(stored, row);
         }
       }
     });
@@ -69,12 +62,9 @@ class LocalJoiner {
   /// Stores a tuple without probing (used when seeding state).
   void Store(Rel rel, const Row& row) {
     const auto i = static_cast<size_t>(rel);
-    uint64_t id;
-    if (spill_[i] != nullptr) {
-      id = spill_[i]->Append(row);
-    } else {
-      id = mem_[i].Append(row);
-    }
+    const uint64_t id = rows_[i].size();
+    bytes_[i] += row.ByteSize();
+    rows_[i].push_back(row);
     int64_t key = (spec_.kind == JoinSpec::Kind::kTheta)
                       ? 0
                       : spec_.KeyOf(rel, row);
@@ -82,23 +72,11 @@ class LocalJoiner {
   }
 
   size_t StoredCount(Rel rel) const {
-    const auto i = static_cast<size_t>(rel);
-    return spill_[i] != nullptr ? spill_[i]->size() : mem_[i].size();
+    return rows_[static_cast<size_t>(rel)].size();
   }
 
-  size_t StoredBytes(Rel rel) const {
-    const auto i = static_cast<size_t>(rel);
-    return spill_[i] != nullptr ? spill_[i]->logical_bytes() : mem_[i].bytes();
-  }
-
-  /// Disk page faults accumulated by probes into spilled state.
-  uint64_t PageFaults() const {
-    uint64_t n = 0;
-    for (const auto& s : spill_) {
-      if (s != nullptr) n += s->stats().page_faults;
-    }
-    return n;
-  }
+  /// Sum of Row::ByteSize() over the relation's stored rows.
+  size_t StoredBytes(Rel rel) const { return bytes_[static_cast<size_t>(rel)]; }
 
   const JoinSpec& spec() const { return spec_; }
 
@@ -109,22 +87,11 @@ class LocalJoiner {
     return spec_.Matches(r, s);
   }
 
-  const Row* GetRow(Rel rel, uint64_t id, Row* scratch) {
-    const auto i = static_cast<size_t>(rel);
-    if (spill_[i] != nullptr) {
-      const Row* resident = spill_[i]->TryGetResident(id);
-      if (resident != nullptr) return resident;
-      *scratch = spill_[i]->Materialize(id);
-      return scratch;
-    }
-    return &mem_[i].Get(id);
-  }
-
   JoinSpec spec_;
   JoinIndex index_[2];
-  RowStore mem_[2];
-  std::unique_ptr<SpillStore> spill_[2];
-  Row scratch_;
+  // Stored rows per relation; a row's id is its position.
+  std::vector<Row> rows_[2];
+  size_t bytes_[2] = {0, 0};
 };
 
 /// Reference nested-loop join for correctness tests: returns all matching

@@ -1,6 +1,6 @@
-#include "src/query/pipeline.h"
+#include "reference/pipeline.h"
 
-#include "src/localjoin/local_join.h"
+#include "reference/local_join.h"
 
 namespace ajoin {
 

@@ -7,6 +7,8 @@
 // materialization limitation by streaming one distributed join's egress
 // straight into the next (no intermediate relation, migrations live in
 // every stage); tests/egress_test.cc proves the two plans byte-identical.
+// The live system is the streaming cascade, so this baseline sits in
+// reference/, outside the ajoin library.
 //
 // This layer also serves as a cross-check: the EQ5/EQ7 builders compute the
 // (Region |X| Nation |X| Supplier) intermediates by actually joining the

@@ -644,6 +644,7 @@ void AggOperator::Push(const StreamTuple& tuple) {
 }
 
 void AggOperator::SetIngressBatch(uint32_t target) {
+  FlushInput();  // staged under the old target must not be stranded
   stager_->SetTarget(target, task_base_, num_routers_);
 }
 

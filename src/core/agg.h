@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -110,30 +109,6 @@ struct AggConfig {
 struct AggResult {
   int64_t key = 0;
   WeightedAccum acc;
-};
-
-/// Single-threaded reference aggregation: the differential baseline the
-/// distributed stage is tested against (and the bench's scaling baseline).
-class ReferenceAggregator {
- public:
-  /// Folds one (key, weight, value) observation.
-  void Add(int64_t key, double weight, int64_t value) {
-    groups_[key].Merge(weight, value);
-  }
-
-  /// All aggregates, sorted by key.
-  std::vector<AggResult> Results() const {
-    std::vector<AggResult> out;
-    out.reserve(groups_.size());
-    for (const auto& kv : groups_) out.push_back({kv.first, kv.second});
-    return out;
-  }
-
-  /// Distinct group keys folded so far.
-  size_t size() const { return groups_.size(); }
-
- private:
-  std::map<int64_t, WeightedAccum> groups_;
 };
 
 /// Folds collected agg kResult rows ([key, count, sum, min, max, tuples])

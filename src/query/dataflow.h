@@ -1,6 +1,6 @@
 // Dataflow: composable multi-stage streaming topologies over the adaptive
 // join operator — the egress-side counterpart of the ingress-port redesign.
-// Where src/query/pipeline.h materializes every intermediate before the
+// Where reference/pipeline.h materializes every intermediate before the
 // distributed stage (the Squall pattern the paper evaluates), a Dataflow
 // wires stage A's joiner egress directly into stage B's reshufflers as
 // internal engine edges: a two-join cascade runs fully online, with live

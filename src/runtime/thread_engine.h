@@ -2,13 +2,13 @@
 // data plane — per-edge bounded lock-free SPSC rings carrying TupleBatches,
 // with size/deadline/control batching and credit-based backpressure. A slow
 // joiner stalls only the edges feeding it; the driver blocks only when the
-// specific ingress edge it is posting on is out of credits. Consumed batches
-// are handed to Task::OnBatch whole (ExchangeConfig::batch_dispatch, default
-// true), so operators with batch specializations (reshuffler routing, joiner
-// store/probe) skip the per-envelope dispatch entirely; setting it false
-// unpacks batches into one OnMessage call per envelope. (The original
-// per-tuple mutex+deque Channel plane is retired; ExchangeConfig with
-// batch_size = 1 is the per-tuple reference configuration.)
+// specific ingress edge it is posting on is out of credits. Every consumed
+// batch is handed to Task::OnBatch whole, so operators with batch
+// specializations (reshuffler routing, joiner store/probe) skip the
+// per-envelope dispatch entirely; a task without one runs OnBatch's default,
+// one OnMessage call per envelope. (The original per-tuple mutex+deque
+// Channel plane is retired; ExchangeConfig with batch_size = 1 is the
+// per-tuple reference configuration.)
 //
 // Quiescence: an in-flight envelope counter incremented at send (including
 // envelopes still buffered in a batcher) and decremented once per consumed

@@ -1,6 +1,5 @@
 // Row <-> byte-buffer serialization ("the wire format"). Little-endian,
-// length-prefixed strings. Used by the spill store and by network byte
-// accounting in the engines.
+// length-prefixed strings. Used by joiner snapshots (src/core/joiner.cc).
 
 #pragma once
 

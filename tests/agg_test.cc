@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "reference/aggregator.h"
 #include "src/common/random.h"
 #include "src/core/agg.h"
 #include "src/core/operator.h"
@@ -456,6 +457,35 @@ TEST(AggDifferential, RowColumnsSelectKeyAndValue) {
     const auto run = RunAgg(plane, stream, cfg);
     ExpectSameAggregates(run.collected, ref.Results(), PlaneName(plane));
   }
+}
+
+TEST(AggIngress, RetargetShipsInputStagedUnderTheOldTarget) {
+  // Tuples staged under a batch target of 64 must leave when the target
+  // drops to 1, before the next push posts directly: otherwise they wait
+  // for an explicit FlushInput and arrive behind later tuples.
+  SimEngine engine;
+  AggConfig cfg = AdaptiveConfig();
+  cfg.adaptive = false;
+  AggOperator op(engine, cfg);
+  engine.Start();
+  StreamTuple t;
+  t.rel = Rel::kS;
+  t.bytes = 8;
+  op.SetIngressBatch(64);
+  for (int64_t key = 0; key < 5; ++key) {
+    t.key = key;
+    op.Push(t);
+  }
+  op.SetIngressBatch(1);
+  t.key = 5;
+  op.Push(t);
+  engine.WaitQuiescent();  // no FlushInput: nothing may still be staged
+  uint64_t merged = 0;
+  for (uint32_t w = 0; w < cfg.machines; ++w) {
+    merged += op.worker(w).in_tuples();
+  }
+  EXPECT_EQ(merged, 6u);
+  engine.Shutdown();
 }
 
 TEST(AggTelemetry, WorkersPublishAggSnapshots) {

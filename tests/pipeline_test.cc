@@ -7,9 +7,9 @@
 
 #include <set>
 
+#include "reference/pipeline.h"
 #include "src/core/operator.h"
 #include "src/datagen/workloads.h"
-#include "src/query/pipeline.h"
 #include "src/sim/sim_engine.h"
 
 namespace ajoin {

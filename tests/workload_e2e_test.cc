@@ -7,9 +7,9 @@
 
 #include <algorithm>
 
+#include "reference/local_join.h"
 #include "src/core/operator.h"
 #include "src/datagen/workloads.h"
-#include "src/localjoin/local_join.h"
 #include "src/sim/sim_engine.h"
 
 namespace ajoin {

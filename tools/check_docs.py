@@ -13,7 +13,8 @@
    rejection contract, per-port threading rules), Operator and the two
    facades in src/core/operator.h (egress routing / id-ordering contract),
    Dataflow/ResultSink in src/query/dataflow.h (stage wiring, restamping),
-   AggOperator/ReferenceAggregator in src/core/agg.h, WeightedAccum in
+   AggOperator in src/core/agg.h, ReferenceAggregator in
+   reference/aggregator.h, WeightedAccum in
    src/core/weighted.h and AggTable in src/index/agg_table.h (weight
    contract, migration-aware cell moves, EOS flush barrier),
    FlatHashIndex in src/index/flat_index.h and JoinIndex in
@@ -24,6 +25,11 @@
    observability plane and the control loop: who may publish, who may
    read, what is lock-free, when policies step). An undocumented method is
    a contract hole.
+4. No file under src/ includes a header from reference/. reference/ holds
+   the test oracles and the materialized-pipeline baseline; the ajoin
+   library (src/) is the live system and must build without them. The
+   separate ajoin_reference library alone would not catch this: LocalJoiner
+   and ReferenceAggregator are header-only.
 
 Exit code 0 = clean; 1 = findings (printed one per line).
 """
@@ -84,7 +90,8 @@ API_SURFACES = (
     ("src/runtime/task.h", ("IngressPort", "Engine")),
     ("src/core/operator.h", ("Operator", "JoinOperator", "ShjOperator")),
     ("src/query/dataflow.h", ("Dataflow", "ResultSink")),
-    ("src/core/agg.h", ("AggOperator", "ReferenceAggregator")),
+    ("src/core/agg.h", ("AggOperator",)),
+    ("reference/aggregator.h", ("ReferenceAggregator",)),
     ("src/core/weighted.h", ("WeightedAccum",)),
     ("src/index/agg_table.h", ("AggTable",)),
     ("src/index/flat_index.h", ("FlatHashIndex",)),
@@ -210,9 +217,28 @@ def check_api_doc_comments():
     return errors
 
 
+REFERENCE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]reference/')
+
+
+def check_reference_boundary():
+    """No file under src/ may include a reference/ header."""
+    errors = []
+    for path in sorted((REPO / "src").rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for idx, line in enumerate(lines):
+            if REFERENCE_INCLUDE_RE.match(line):
+                errors.append(
+                    f"{path.relative_to(REPO)}:{idx + 1}: src/ includes a "
+                    "reference/ header (oracles stay outside the library)")
+    return errors
+
+
 def main():
     errors = (check_links() + check_onbatch_doc_comments()
-              + check_api_doc_comments() + check_free_function_doc_comments())
+              + check_api_doc_comments() + check_free_function_doc_comments()
+              + check_reference_boundary())
     for error in errors:
         print(error)
     if errors:
