@@ -276,8 +276,10 @@ JoinRunResult JoinRun(const Mode& mode, uint32_t machines,
 }
 
 /// Zero-synchronization compute ceiling: the identical operator + stream on
-/// the deterministic single-threaded SimEngine (no threads, no channels, no
-/// batching — just the join work plus a deque dispatch).
+/// the deterministic single-threaded SimEngine (no threads, no channels —
+/// just the join work plus a deque dispatch). Tuples are posted one at a
+/// time, and every send unit goes through the same OnBatch paths as the
+/// threaded modes, as a one-envelope batch or a routed run.
 double SimCeiling(uint32_t machines, const std::vector<StreamTuple>& stream,
                   int reps = 3) {
   double best = 0;

@@ -72,9 +72,11 @@ AggRouterCore::AggRouterCore(Config config) : config_(std::move(config)) {
 void AggRouterCore::OnMessage(Envelope msg, Context& ctx) {
   switch (msg.type) {
     case MsgType::kInput:
-    case MsgType::kResult:
-      Route(msg, ctx);
+    case MsgType::kResult: {
+      TupleBatch one(std::move(msg));
+      RouteBatch(one, ctx);
       break;
+    }
     case MsgType::kEpochChange:
       HandleEpochChange(msg, ctx);
       break;
@@ -117,6 +119,11 @@ void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
       return;
     }
   }
+  RouteBatch(batch, ctx);
+  Publish();
+}
+
+void AggRouterCore::RouteBatch(TupleBatch& batch, Context& ctx) {
   // One run per worker, shipped before this call returns, in place of one
   // Send per tuple. Each worker edge carries the batch's tuples in batch
   // order, as per envelope. Nothing this batch sends to a worker can be
@@ -140,15 +147,6 @@ void AggRouterCore::OnBatch(TupleBatch batch, Context& ctx) {
     runs_[worker].Clear();
   }
   touched_runs_.clear();
-  Publish();
-}
-
-void AggRouterCore::Route(Envelope& msg, Context& ctx) {
-  const uint32_t worker = Restamp(msg);
-  const uint32_t partition = msg.group;
-  ctx.Send(config_.worker_task_base + static_cast<int>(worker),
-           std::move(msg));
-  if (config_.index == 0) NoteRouted(partition, ctx);
 }
 
 uint32_t AggRouterCore::Restamp(Envelope& msg) {
@@ -579,7 +577,7 @@ AggOperator::AggOperator(Engine& engine, AggConfig config)
   AJOIN_CHECK(config_.machines >= 1);
   AJOIN_CHECK(config_.partitions >= 1 &&
               (config_.partitions & (config_.partitions - 1)) == 0);
-  num_routers_ = config_.routers != 0 ? config_.routers : config_.machines;
+  num_routers_ = config_.machines;
   task_base_ = static_cast<int>(engine_.num_tasks());
   const int worker_base = task_base_ + static_cast<int>(num_routers_);
   for (uint32_t r = 0; r < num_routers_; ++r) {

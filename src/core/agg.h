@@ -78,11 +78,9 @@ struct AggSpec {
 
 struct AggConfig {
   AggSpec spec;
-  /// Aggregate workers (each owns a share of the accumulator partitions).
+  /// Aggregate workers (each owns a share of the accumulator partitions);
+  /// the stage also runs one router per worker.
   uint32_t machines = 8;
-  /// Router tasks spraying keyed input; 0 (default) allocates one per
-  /// worker.
-  uint32_t routers = 0;
   /// Accumulator partitions (power of two, should be >> machines so the
   /// controller has reassignment granularity).
   uint32_t partitions = 256;
@@ -140,12 +138,11 @@ class AggRouterCore : public Task {
   explicit AggRouterCore(Config config);
 
   /// Control lane: migration acks, EOS notes, and (router 0) the
-  /// controller duty — rebalance decisions and the flush barrier.
+  /// controller duty — rebalance decisions and the flush barrier. A lone
+  /// kInput/kResult routes as a one-envelope batch.
   void OnMessage(Envelope msg, Context& ctx) override;
-  /// Data lane: restamps each kInput/kResult envelope as kData with the
-  /// group key, hash tag, current epoch, and owning partition, then
-  /// forwards the batch to the partitions' assigned workers as one run per
-  /// worker (Context::SendBatch), in batch order.
+  /// Data lane: routes a kInput/kResult batch through RouteBatch; control
+  /// goes to the default OnMessage loop.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Wiring-time (Dataflow::Connect): this router will receive `n` more
@@ -166,7 +163,11 @@ class AggRouterCore : public Task {
   uint64_t rebalances() const { return rebalances_; }
 
  private:
-  void Route(Envelope& msg, Context& ctx);
+  // Restamps each kInput/kResult envelope as kData with the group key, hash
+  // tag, current epoch, and owning partition, then forwards the batch to the
+  // partitions' assigned workers as one run per worker
+  // (Context::SendBatch), in batch order.
+  void RouteBatch(TupleBatch& batch, Context& ctx);
   // Restamps msg as kData for its group's partition (msg.group) and returns
   // the partition's worker.
   uint32_t Restamp(Envelope& msg);

@@ -339,8 +339,6 @@ void AppendTask(std::string* out, const TaskSnapshot& task) {
     AppendKv(out, "stored_tuples", j.stored_tuples, &first);
     AppendKv(out, "stored_bytes", j.stored_bytes, &first);
     AppendKv(out, "peak_stored_bytes", j.peak_stored_bytes, &first);
-    AppendKv(out, "latency_count", j.latency_count, &first);
-    AppendKv(out, "latency_sum_us", j.latency_sum_us, &first);
     AppendKv(out, "epoch", static_cast<uint64_t>(j.epoch), &first);
     AppendKv(out, "migrating", static_cast<uint64_t>(j.migrating ? 1 : 0),
              &first);

@@ -32,6 +32,11 @@ JoinerCore::JoinerCore(JoinerConfig config)
 void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
   switch (msg.type) {
     case MsgType::kData:
+      if (!migrating_) {
+        // Steady data has one path: a lone tuple is a one-tuple batch.
+        OnBatch(TupleBatch(std::move(msg)), ctx);
+        return;
+      }
       HandleData(msg, ctx);
       break;
     case MsgType::kMigrate:
@@ -63,21 +68,16 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
 }
 
 void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
-  // Fall back to per-envelope semantics for everything that is not a
-  // steady-state batch of stored data: control singletons, µ (kMigrate)
-  // batches, batches holding a probe-only tuple (a cross-group probe must
-  // see exactly the stores that precede it on its edge, and is never stored
-  // for a later tuple to find), and any batch that arrives while a
-  // migration is active. A migration cannot start mid-batch — kReshufSignal
+  // Everything that is not steady data takes the default OnMessage loop:
+  // control singletons, µ (kMigrate) batches, and any batch that arrives
+  // while a migration is active (Δ/Δ' scoping and migration bookkeeping
+  // stay per-envelope). A migration cannot start mid-batch — kReshufSignal
   // is control and therefore always a singleton batch — so checking
-  // migrating_ once up front is sound.
-  const bool steady =
-      !migrating_ && !batch.empty() &&
-      std::all_of(batch.items.begin(), batch.items.end(),
-                  [](const Envelope& msg) {
-                    return msg.type == MsgType::kData && msg.store;
-                  });
-  if (!steady) {
+  // migrating_ once up front is sound. kData and kMigrate travel different
+  // edges, so a batch's first type is every envelope's; the run scan below
+  // checks it anyway.
+  if (migrating_ || batch.empty() ||
+      batch.items.front().type != MsgType::kData) {
     Task::OnBatch(std::move(batch), ctx);
     return;
   }
@@ -85,17 +85,40 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   // admission check hoists to one check per batch.
   AJOIN_CHECK_MSG(batch.items.front().epoch == epoch_,
                   "new-epoch tuple before its reshuffler signal");
-  // One relation at a time; the S group's probes see the R group's stores
-  // (why every pair is still emitted exactly once: see the header).
-  for (const Rel rel : {Rel::kR, Rel::kS}) {
-    ProbeGroup(batch, rel, ctx);
-    StoreGroup(batch, rel);
+  const Envelope* run = batch.items.data();
+  const Envelope* const end = run + batch.size();
+  while (true) {
+    // Stored tuples run up to the next probe-only tuple, one relation at a
+    // time; the S group's probes see the R group's stores (why every pair
+    // is still emitted exactly once: see the header).
+    const Envelope* cut =
+        std::find_if(run, end, [](const Envelope& msg) {
+          return !msg.store || msg.type != MsgType::kData;
+        });
+    if (cut != run) {
+      for (const Rel rel : {Rel::kR, Rel::kS}) {
+        ProbeGroup(run, cut, rel, ctx);
+        StoreGroup(run, cut, rel);
+      }
+    }
+    if (cut == end) break;
+    AJOIN_CHECK_MSG(cut->type == MsgType::kData,
+                    "joiner: data batch mixes message types");
+    // A probe-only tuple (cross-group probe) probes exactly the stores that
+    // precede it on its edge, with its own admission coin, and is never
+    // stored for a later tuple to find.
+    if (AdmitProbe()) {
+      emit_weight_ = shed_weight_;
+      Probe(*cut, Scope::kAll, ctx);
+      emit_weight_ = 1.0;
+    }
+    run = cut + 1;
   }
   // One egress batch per input batch (the per-envelope path flushes per
   // message instead; both orders are per-edge FIFO, which is all sinks and
   // downstream stages rely on).
   if (!egress_.empty()) FlushEgress(ctx);
-  // One telemetry publish per batch (the fallback paths above publish per
+  // One telemetry publish per batch (the per-envelope paths publish per
   // envelope through OnMessage).
   if (config_.telemetry != nullptr) {
     config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
@@ -162,19 +185,23 @@ void JoinerCore::Probe(const Envelope& msg, Scope scope, Context& ctx) {
 // in L1 when matched. A power of two so the ring index is a mask.
 static constexpr size_t kCandidateWindow = 8;
 
-void JoinerCore::ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx) {
-  // Steady-state (Scope::kAll) probes of the batch's `rel` tuples against
-  // the opposite index. Under shedding each tuple draws its admission coin
-  // here; probe_msgs_[i] is the tuple whose key is group_keys_[i].
+void JoinerCore::ProbeGroup(const Envelope* begin, const Envelope* end,
+                            Rel rel, Context& ctx) {
+  // Steady-state (Scope::kAll) probes of the run's `rel` tuples against the
+  // opposite index. Under shedding each tuple draws its admission coin
+  // here and is still stored exactly; each join pair has exactly one probe
+  // site, so admission at rate p with weight 1/p at emission is an unbiased
+  // Horvitz-Thompson sample of the exact output. probe_msgs_[i] is the
+  // tuple whose key is group_keys_[i].
   probe_msgs_.clear();
   group_keys_.clear();
-  for (const Envelope& msg : batch.items) {
-    if (msg.rel != rel) continue;
+  for (const Envelope* msg = begin; msg != end; ++msg) {
+    if (msg->rel != rel) continue;
     metrics_.in_tuples++;
-    metrics_.in_bytes += msg.bytes;
+    metrics_.in_bytes += msg->bytes;
     if (!AdmitProbe()) continue;
-    probe_msgs_.push_back(&msg);
-    group_keys_.push_back(msg.key);  // equi ProbeRange is the key itself
+    probe_msgs_.push_back(msg);
+    group_keys_.push_back(msg->key);  // equi ProbeRange is the key itself
   }
   emit_weight_ = shed_weight_;  // 1.0 unless shedding
   if (config_.spec.kind != JoinSpec::Kind::kEqui) {
@@ -229,13 +256,6 @@ void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
     }
   }
   if (config_.result_sink >= 0) StageResult(msg, matched, matched_row, ctx);
-  if (config_.latency_every != 0 && msg.ingest_us != 0 &&
-      output_count_ % config_.latency_every == 0) {
-    uint64_t now = ctx.NowMicros();
-    if (now > msg.ingest_us) {
-      metrics_.latency_us.Record(static_cast<double>(now - msg.ingest_us));
-    }
-  }
 }
 
 // Staged runs are cut at the wire's default batch size; a dispatch that
@@ -334,16 +354,17 @@ void JoinerCore::Store(const Envelope& msg, uint8_t origin, uint32_t epoch) {
   index_[static_cast<size_t>(msg.rel)].Add(IndexKey(msg.key), id);
 }
 
-void JoinerCore::StoreGroup(const TupleBatch& batch, Rel rel) {
+void JoinerCore::StoreGroup(const Envelope* begin, const Envelope* end,
+                            Rel rel) {
   // The group's entries take consecutive ids, so one AddRun indexes them in
   // the same order as a Store per tuple would.
   const auto rel_i = static_cast<size_t>(rel);
   const uint64_t first_id = entries_[rel_i].size();
   group_keys_.clear();
-  for (const Envelope& msg : batch.items) {
-    if (msg.rel != rel) continue;
-    AppendEntry(msg, kOriginData, epoch_);
-    group_keys_.push_back(IndexKey(msg.key));
+  for (const Envelope* msg = begin; msg != end; ++msg) {
+    if (msg->rel != rel) continue;
+    AppendEntry(*msg, kOriginData, epoch_);
+    group_keys_.push_back(IndexKey(msg->key));
   }
   index_[rel_i].AddRun(group_keys_.data(), group_keys_.size(), first_id);
 }
@@ -365,37 +386,12 @@ void JoinerCore::RebuildIndex(size_t rel_i) {
 // ---------------------------------------------------------------------------
 
 void JoinerCore::HandleData(Envelope& msg, Context& ctx) {
-  if (!msg.store) {
-    // Cross-group probe. Grouped operators run with barrier migrations, so
-    // probes never overlap an active migration (DESIGN.md section 5).
-    AJOIN_CHECK_MSG(!migrating_, "probe during migration (barrier violated)");
-    if (AdmitProbe()) {
-      emit_weight_ = shed_weight_;
-      Probe(msg, Scope::kAll, ctx);
-      emit_weight_ = 1.0;
-    }
-    return;
-  }
+  // Mid-migration only: steady data takes OnBatch. Grouped operators run
+  // with barrier migrations, so cross-group probes never overlap an active
+  // migration (DESIGN.md section 5).
+  AJOIN_CHECK_MSG(msg.store, "probe during migration (barrier violated)");
   metrics_.in_tuples++;
   metrics_.in_bytes += msg.bytes;
-
-  if (!migrating_) {
-    AJOIN_CHECK_MSG(msg.epoch == epoch_,
-                    "new-epoch tuple before its reshuffler signal");
-    // Shedding gates the probe only: the tuple is still stored exactly, so
-    // join state (and any future migration of it) is unaffected. Each join
-    // pair is produced at exactly one probe site, so Bernoulli(p) admission
-    // here with weight 1/p at emission is an unbiased Horvitz-Thompson
-    // sample of the exact output.
-    if (AdmitProbe()) {
-      emit_weight_ = shed_weight_;
-      Probe(msg, Scope::kAll, ctx);
-      emit_weight_ = 1.0;
-    }
-    Store(msg, kOriginData, msg.epoch);
-    return;
-  }
-
   if (msg.epoch == old_epoch_) {
     // Δ tuple (Alg. 3, HandleTuple1 lines 15-20).
     Probe(msg, Scope::kOldData, ctx);

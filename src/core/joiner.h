@@ -43,7 +43,6 @@ struct JoinerConfig {
   int joiner_task_base = 0;       // engine task id of the group's machine 0
   bool collect_pairs = false;     // record (r_seq, s_seq) result ids
   bool keep_rows = true;          // store row payloads when provided
-  uint64_t latency_every = 0;     // record latency for every k-th output (0=off)
   /// Streaming egress: engine task id that receives this joiner's results
   /// as kResult batches (a ResultSink or a downstream stage's reshuffler).
   /// -1 (default) keeps results local (polling via collect_pairs /
@@ -65,19 +64,23 @@ class JoinerCore : public Task {
 
   void OnMessage(Envelope msg, Context& ctx) override;
 
-  /// Batch store/probe (threaded engine, batched dispatch). Relies on the
-  /// OnBatch invariants (src/runtime/task.h): batches are one edge's FIFO
-  /// run, never mix control with data, and never mix epochs — so for a
-  /// steady-state batch of stored kData tuples the epoch admission check
-  /// hoists to once per batch, and the batch is taken one relation at a
-  /// time: all of its R tuples probe the S index, then are stored; then
-  /// all of its S tuples probe the R index, then are stored. Equi groups
-  /// go through one JoinIndex::ProbeRun each, so the flat index
-  /// prefetch-pipelines the whole group, and each candidate's stored entry
-  /// is prefetched a fixed number of candidates before it is matched. Each
-  /// group is stored with one JoinIndex::AddRun (StoreGroup), which on the
-  /// flat index prefetch-pipelines the group's inserts the same way; the
-  /// stored state is identical to a Store per tuple.
+  /// Batch store/probe, the one steady data path: every kData batch that
+  /// arrives outside a migration. Relies on the OnBatch invariants
+  /// (src/runtime/task.h): batches are one edge's FIFO run, never mix
+  /// control with data, and never mix epochs — so the epoch admission check
+  /// hoists to once per batch. Stored tuples are taken in runs cut at each
+  /// probe-only (`store = false`) tuple, and each run one relation at a
+  /// time: its R tuples probe the S index, then are stored; then its S
+  /// tuples probe the R index, then are stored. Equi groups go through one
+  /// JoinIndex::ProbeRun each, so the flat index prefetch-pipelines the
+  /// whole group, and each candidate's stored entry is prefetched a fixed
+  /// number of candidates before it is matched. Each group is stored with
+  /// one JoinIndex::AddRun (StoreGroup), which on the flat index
+  /// prefetch-pipelines the group's inserts the same way; the stored state
+  /// is identical to a Store per tuple. A probe-only tuple (a multi-group
+  /// operator's cross-group probe) probes with a scalar Probe and its own
+  /// admission coin, so it sees exactly the stores that precede it on its
+  /// edge, as per envelope.
   ///
   /// Exactly once: within this cell a pair (r, s) is emitted by whichever
   /// of its two tuples is processed later, when the other is already
@@ -86,16 +89,16 @@ class JoinerCore : public Task {
   /// own relation. So the dispatch emits the same result multiset as the
   /// per-envelope loop over the same batch. Two things may differ within
   /// one dispatch: the order of its results, and, for a pair whose two
-  /// tuples share the batch with s before r, which tuple probes (the S
+  /// stored tuples share a run with s before r, which tuple probes (the S
   /// tuple here, the R tuple per envelope) — the result carries that
   /// tuple's `rel` and `ingest_us` (its key is the R tuple's either way),
   /// and under shedding its admission coin decides whether the pair is
   /// emitted.
   ///
-  /// Anything else — control singletons, µ batches, batches holding a
-  /// probe-only (`store = false`) tuple, or any batch consumed while a
-  /// migration is active (Δ/Δ' scoping and migration bookkeeping stay
-  /// per-envelope) — falls back to the default OnMessage loop.
+  /// Anything else — control singletons, µ batches, or any batch consumed
+  /// while a migration is active (Δ/Δ' scoping and migration bookkeeping
+  /// stay per-envelope) — goes to the default OnMessage loop, and
+  /// OnMessage hands a lone steady kData back here as a one-tuple batch.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   /// Re-points streaming egress at engine task `sink` (see
@@ -174,6 +177,7 @@ class JoinerCore : public Task {
     kDeltaPrime, // Δ': epoch == new epoch
   };
 
+  // Δ/Δ' tuples of an active migration (steady data takes OnBatch).
   void HandleData(Envelope& msg, Context& ctx);
   void HandleMigrate(Envelope& msg, Context& ctx);
   void HandleMigEnd(Envelope& msg, Context& ctx);
@@ -195,8 +199,10 @@ class JoinerCore : public Task {
 
   bool EntryInScope(const StoredEntry& entry, Rel entry_rel, Scope scope) const;
   void Probe(const Envelope& msg, Scope scope, Context& ctx);
-  // Steady-state probes of one relation's tuples in a batch (OnBatch).
-  void ProbeGroup(const TupleBatch& batch, Rel rel, Context& ctx);
+  // Steady-state probes of one relation's tuples in a run of stored tuples
+  // [begin, end) (OnBatch).
+  void ProbeGroup(const Envelope* begin, const Envelope* end, Rel rel,
+                  Context& ctx);
   // Shared candidate-filter/match/emit body of the scalar and batched
   // probe paths (single source of truth for the match rules); `id` is the
   // candidate's entry id in the opposite relation.
@@ -219,9 +225,10 @@ class JoinerCore : public Task {
   // Store's first half: appends msg's entry (and row slot) without indexing
   // it; returns the entry id.
   uint64_t AppendEntry(const Envelope& msg, uint8_t origin, uint32_t epoch);
-  // Steady-state stores of one relation's tuples in a batch (OnBatch): the
-  // entries in batch order, then their keys through one JoinIndex::AddRun.
-  void StoreGroup(const TupleBatch& batch, Rel rel);
+  // Steady-state stores of one relation's tuples in a run [begin, end)
+  // (OnBatch): the entries in run order, then their keys through one
+  // JoinIndex::AddRun.
+  void StoreGroup(const Envelope* begin, const Envelope* end, Rel rel);
   // Clear + Reserve + Add rebuild of index_[rel_i] over entries_[rel_i]
   // (FinalizeMigration, RestoreState).
   void RebuildIndex(size_t rel_i);

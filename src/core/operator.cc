@@ -45,6 +45,40 @@ void RouteJoinerResults(Engine& engine, const std::vector<int>& joiner_ids,
 
 }  // namespace
 
+uint64_t Operator::TotalOutputs() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < num_joiner_slots(); ++i) {
+    total += joiner(i).output_count();
+  }
+  return total;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> Operator::CollectPairs() const {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  for (size_t i = 0; i < num_joiner_slots(); ++i) {
+    const auto& pairs = joiner(i).pairs();
+    out.insert(out.end(), pairs.begin(), pairs.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+uint64_t Operator::MaxInBytes() const {
+  uint64_t mx = 0;
+  for (size_t i = 0; i < num_joiner_slots(); ++i) {
+    mx = std::max(mx, joiner(i).metrics().in_bytes);
+  }
+  return mx;
+}
+
+uint64_t Operator::TotalStoredBytes() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < num_joiner_slots(); ++i) {
+    total += joiner(i).metrics().stored_bytes;
+  }
+  return total;
+}
+
 JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
     : engine_(engine),
       config_(std::move(config)),
@@ -127,8 +161,7 @@ JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
       jc.joiner_task_base = block.joiner_task_base;
       jc.collect_pairs = config_.collect_pairs;
       jc.keep_rows = config_.keep_rows;
-      jc.latency_every = config_.latency_every;
-      jc.trace = config_.trace;
+        jc.trace = config_.trace;
       if (config_.registry != nullptr) {
         jc.telemetry = config_.registry->Register(
             block.joiner_task_base + static_cast<int>(p), TaskKind::kJoiner);
@@ -267,40 +300,6 @@ const ControllerCore* JoinOperator::controller() const {
   return reshuffler(0).controller();
 }
 
-uint64_t JoinOperator::TotalOutputs() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).output_count();
-  }
-  return total;
-}
-
-std::vector<std::pair<uint64_t, uint64_t>> JoinOperator::CollectPairs() const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    const auto& pairs = joiner(i).pairs();
-    out.insert(out.end(), pairs.begin(), pairs.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-uint64_t JoinOperator::MaxInBytes() const {
-  uint64_t mx = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    mx = std::max(mx, joiner(i).metrics().in_bytes);
-  }
-  return mx;
-}
-
-uint64_t JoinOperator::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).metrics().stored_bytes;
-  }
-  return total;
-}
-
 // ---------------------------------------------------------------------------
 // SHJ baseline
 // ---------------------------------------------------------------------------
@@ -356,7 +355,6 @@ ShjOperator::ShjOperator(Engine& engine, OperatorConfig config)
     jc.joiner_task_base = base + 1;
     jc.collect_pairs = config_.collect_pairs;
     jc.keep_rows = config_.keep_rows;
-    jc.latency_every = config_.latency_every;
     jc.trace = config_.trace;
     if (config_.registry != nullptr) {
       jc.telemetry = config_.registry->Register(base + 1 + static_cast<int>(p),
@@ -403,40 +401,6 @@ void ShjOperator::SendEos() {
 const JoinerCore& ShjOperator::joiner(size_t i) const {
   return *static_cast<const JoinerCore*>(
       const_cast<Engine&>(engine_).task(joiner_ids_[i]));
-}
-
-uint64_t ShjOperator::TotalOutputs() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).output_count();
-  }
-  return total;
-}
-
-std::vector<std::pair<uint64_t, uint64_t>> ShjOperator::CollectPairs() const {
-  std::vector<std::pair<uint64_t, uint64_t>> out;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    const auto& pairs = joiner(i).pairs();
-    out.insert(out.end(), pairs.begin(), pairs.end());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-uint64_t ShjOperator::MaxInBytes() const {
-  uint64_t mx = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    mx = std::max(mx, joiner(i).metrics().in_bytes);
-  }
-  return mx;
-}
-
-uint64_t ShjOperator::TotalStoredBytes() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < joiner_ids_.size(); ++i) {
-    total += joiner(i).metrics().stored_bytes;
-  }
-  return total;
 }
 
 }  // namespace ajoin

@@ -52,7 +52,6 @@ struct OperatorConfig {
   /// Result collection for correctness tests.
   bool collect_pairs = false;
   bool keep_rows = true;
-  uint64_t latency_every = 0;
   /// Extended per-reshuffler statistics (heavy hitters / histograms).
   bool collect_stats = false;
   StreamStats::Options stats_options;
@@ -208,13 +207,13 @@ class Operator {
   virtual const ControllerCore* controller() const = 0;
 
   /// Sum of joiner output counts. Engine must be quiescent.
-  virtual uint64_t TotalOutputs() const = 0;
+  uint64_t TotalOutputs() const;
   /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  virtual std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const;
   /// Max per-joiner received input bytes — the measured ILF.
-  virtual uint64_t MaxInBytes() const = 0;
+  uint64_t MaxInBytes() const;
   /// Total bytes currently stored across the cluster.
-  virtual uint64_t TotalStoredBytes() const = 0;
+  uint64_t TotalStoredBytes() const;
 };
 
 /// The paper's dataflow theta-join operator (Dynamic / StaticMid /
@@ -315,15 +314,6 @@ class JoinOperator : public Operator {
   /// Sets the next input sequence number (recovery replay watermark).
   void SetNextSeq(uint64_t seq) { seq_ = seq; }
 
-  /// Sum of joiner output counts. Engine must be quiescent.
-  uint64_t TotalOutputs() const override;
-  /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override;
-  /// Max per-joiner received input bytes — the measured ILF.
-  uint64_t MaxInBytes() const override;
-  /// Total bytes currently stored across the cluster.
-  uint64_t TotalStoredBytes() const override;
-
   /// The configuration the operator was assembled with.
   const OperatorConfig& config() const { return config_; }
   /// True when J decomposed into several binary groups (section 4.2.2).
@@ -398,15 +388,6 @@ class ShjOperator : public Operator {
   uint64_t pushed_total() const override { return seq_; }
   /// Always null: the SHJ baseline has no controller.
   const ControllerCore* controller() const override { return nullptr; }
-
-  /// Sum of joiner output counts (quiescent engine).
-  uint64_t TotalOutputs() const override;
-  /// All collected (r_seq, s_seq) pairs, sorted (collect_pairs mode).
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override;
-  /// Max per-joiner received input bytes.
-  uint64_t MaxInBytes() const override;
-  /// Total bytes currently stored across the cluster.
-  uint64_t TotalStoredBytes() const override;
 
  private:
   class ShjRouter;

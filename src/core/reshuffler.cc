@@ -61,16 +61,17 @@ void ReshufflerCore::RestampResult(Envelope& msg) {
 
 void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
   switch (msg.type) {
-    case MsgType::kInput:
-      HandleInput(msg, ctx);
-      break;
     case MsgType::kResult:
       // Upstream-stage egress enters here like fresh input: restamp, then
       // the ordinary routing path (controller duty included, so adaptivity
       // runs on the cascaded stream too).
       RestampResult(msg);
-      HandleInput(msg, ctx);
+      [[fallthrough]];
+    case MsgType::kInput: {
+      TupleBatch one(std::move(msg));
+      HandleInputBatch(one, ctx);
       break;
+    }
     case MsgType::kEpochChange:
       HandleEpochChange(msg, ctx);
       break;
@@ -180,8 +181,8 @@ void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
     for (Envelope& msg : batch.items) RestampResult(msg);
   }
   HandleInputBatch(batch, ctx);
-  // One telemetry publish per batch (the fallback path above publishes per
-  // envelope through OnMessage).
+  // One telemetry publish per batch (control singletons publish through
+  // OnMessage).
   if (config_.telemetry != nullptr) {
     config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
   }
@@ -200,9 +201,10 @@ void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
     const uint64_t tag = TagForSeq(msg.seq, msg.rel);
     metrics_.routed_tuples++;
     if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
-    // Controller duty per tuple, exactly as HandleInput: decisions only take
+    // Controller duty first, per tuple (Alg. 1 line 6): decisions only take
     // effect when the kEpochChange loops back through this reshuffler's own
-    // inbox — after this batch — so the mapping is constant batch-wide.
+    // inbox — after this batch — so the mapping is constant batch-wide and
+    // the signal still precedes every tuple routed under the new mapping.
     if (controller_ != nullptr) {
       std::vector<EpochSpec> decisions;
       controller_->OnTuple(msg.rel, msg.bytes, &decisions);
@@ -244,9 +246,9 @@ void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
     }
   }
   // Ship each destination's run as a unit. Per-edge order is batch order
-  // (appends above), matching the per-envelope path; and every run leaves
-  // before this call returns, so a later epoch-change signal on the same
-  // edge still trails all data routed under the old mapping.
+  // (appends above); and every run leaves before this call returns, so a
+  // later epoch-change signal on the same edge still trails all data routed
+  // under the old mapping.
   for (const size_t slot : touched_runs_) {
     ctx.SendBatch(run_dest_task_[slot], std::move(runs_[slot]));
     runs_[slot].Clear();
@@ -264,42 +266,6 @@ uint32_t ReshufflerCore::StorageGroupOf(uint64_t tag) const {
     if (u < groups_[g].block.cum_prob) return g;
   }
   return static_cast<uint32_t>(groups_.size()) - 1;
-}
-
-void ReshufflerCore::HandleInput(Envelope& msg, Context& ctx) {
-  uint64_t tag = TagForSeq(msg.seq, msg.rel);
-  metrics_.routed_tuples++;
-  if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
-  // Controller duty first (Alg. 1 line 6), then route with the mapping the
-  // reshuffler currently knows — the epoch change loops back through this
-  // reshuffler's own channel, preserving signal-before-new-epoch ordering.
-  if (controller_ != nullptr) {
-    std::vector<EpochSpec> decisions;
-    controller_->OnTuple(msg.rel, msg.bytes, &decisions);
-    Broadcast(decisions, ctx);
-  }
-  uint32_t storage_group = StorageGroupOf(tag);
-  for (uint32_t g = 0; g < groups_.size(); ++g) {
-    RouteToGroup(msg, tag, g, /*store=*/g == storage_group, ctx);
-  }
-}
-
-void ReshufflerCore::RouteToGroup(const Envelope& msg, uint64_t tag,
-                                  uint32_t group, bool store, Context& ctx) {
-  GroupRoute& g = groups_[group];
-  std::vector<uint32_t> targets = g.layout.TargetsFor(msg.rel, tag);
-  for (uint32_t machine : targets) {
-    Envelope data = msg;
-    data.type = MsgType::kData;
-    data.tag = tag;
-    data.epoch = g.epoch;
-    data.group = group;
-    data.store = store;
-    metrics_.sent_msgs++;
-    metrics_.sent_bytes += data.bytes;
-    ctx.Send(g.block.joiner_task_base + static_cast<int>(machine),
-             std::move(data));
-  }
 }
 
 void ReshufflerCore::Broadcast(const std::vector<EpochSpec>& specs,

@@ -94,17 +94,17 @@ class ReshufflerCore : public Task {
   /// produced.
   void AddEosFeeders(uint32_t n) { eos_expected_ += n; }
 
-  /// Batch routing (threaded engine, batched dispatch). Relies on the
-  /// OnBatch invariants (src/runtime/task.h): the batch is one edge's FIFO
-  /// run and control always arrives as a singleton batch, so a pure-kInput
-  /// batch can be routed in one pass — hash every key, group the resulting
-  /// data envelopes by destination joiner into per-destination runs (using
-  /// the per-partition target table cached per epoch instead of a per-tuple
+  /// Batch routing, the reshuffler's one input path. Relies on the OnBatch
+  /// invariants (src/runtime/task.h): the batch is one edge's FIFO run and
+  /// control always arrives as a singleton batch, so a pure-kInput batch
+  /// can be routed in one pass — hash every key, group the resulting data
+  /// envelopes by destination joiner into per-destination runs (using the
+  /// per-partition target table cached per epoch instead of a per-tuple
   /// layout lookup), and emit each run via Context::SendBatch as a
   /// pre-formed batch. Routing never changes mid-batch: epoch changes loop
-  /// back through this reshuffler's own inbox, exactly as on the
-  /// per-envelope path. Anything that is not a pure input batch falls back
-  /// to the default per-envelope loop.
+  /// back through this reshuffler's own inbox. A pure kResult batch is
+  /// restamped in place first; control goes to the default OnMessage loop,
+  /// and OnMessage routes a lone kInput/kResult as a one-envelope batch.
   void OnBatch(TupleBatch batch, Context& ctx) override;
 
   const ReshufflerMetrics& metrics() const { return metrics_; }
@@ -133,13 +133,10 @@ class ReshufflerCore : public Task {
     size_t run_base = 0;
   };
 
-  void HandleInput(Envelope& msg, Context& ctx);
   void HandleInputBatch(TupleBatch& batch, Context& ctx);
   void RestampResult(Envelope& msg);
   void HandleEpochChange(Envelope& msg, Context& ctx);
   void Broadcast(const std::vector<EpochSpec>& specs, Context& ctx);
-  void RouteToGroup(const Envelope& msg, uint64_t tag, uint32_t group,
-                    bool store, Context& ctx);
   uint32_t StorageGroupOf(uint64_t tag) const;
   static void RebuildRouteCache(GroupRoute& g);
 

@@ -12,7 +12,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kReshufSignal: return "ReshufSignal";
     case MsgType::kMigAck: return "MigAck";
     case MsgType::kEos: return "Eos";
-    case MsgType::kExpand: return "Expand";
     case MsgType::kCheckpoint: return "Checkpoint";
     case MsgType::kResult: return "Result";
     case MsgType::kScale: return "Scale";

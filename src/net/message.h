@@ -24,7 +24,6 @@ enum class MsgType : uint8_t {
   kReshufSignal,  // reshuffler -> joiners: epoch-change flush marker
   kMigAck,        // joiner -> controller: migration finalized locally
   kEos,           // driver -> reshuffler -> joiner: end of stream
-  kExpand,        // controller -> all: elastic expansion (J -> 4J)
   kCheckpoint,    // driver -> controller: barrier-mode migration checkpoint
   kResult,        // joiner -> sink / next stage: one join result (epoch-
                   // agnostic; field use: key = the R tuple's join key (on
@@ -68,7 +67,7 @@ enum class MsgType : uint8_t {
 /// Number of MsgType values. Keep in lockstep with the enum above; the
 /// message tests assert MsgTypeName covers exactly this many values, so an
 /// unnamed (or uncounted) type cannot ship.
-constexpr uint8_t kNumMsgTypes = 15;
+constexpr uint8_t kNumMsgTypes = 14;
 
 /// kShed rate denominator: a kShed message with key == kShedExactPpm (or any
 /// larger value) restores exact, unsampled probing.
@@ -76,12 +75,12 @@ constexpr int64_t kShedExactPpm = 1000000;
 
 const char* MsgTypeName(MsgType type);
 
-/// Epoch transition descriptor (kEpochChange / kReshufSignal / kExpand).
+/// Epoch transition descriptor (kEpochChange / kReshufSignal).
 struct EpochSpec {
   uint32_t group = 0;    // group index (non-power-of-two J decomposition)
   uint32_t epoch = 0;    // new epoch number
   Mapping mapping;       // new (n,m) mapping of that group
-  bool expansion = false;  // kExpand: mapping refers to the expanded grid
+  bool expansion = false;  // mapping refers to the expanded (4x) grid
   bool contraction = false;  // elastic shrink: mapping quarters the grid
   /// Aggregation stages only: the new partition -> worker assignment
   /// (indexed by accumulator partition, values are worker machine indices).

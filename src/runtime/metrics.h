@@ -10,8 +10,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "src/common/histogram.h"
-
 namespace ajoin {
 
 /// Counters maintained by a joiner task.
@@ -36,8 +34,6 @@ struct JoinerMetrics {
   uint64_t stored_tuples = 0;
   uint64_t stored_bytes = 0;
   uint64_t peak_stored_bytes = 0;
-  // Latency of emitted results (threaded engine; micros).
-  Histogram latency_us;
 
   void NoteStored(uint64_t bytes) {
     stored_tuples += 1;

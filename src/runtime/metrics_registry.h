@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <vector>
@@ -99,8 +98,6 @@ struct JoinerSnapshot {
   uint64_t stored_tuples = 0;
   uint64_t stored_bytes = 0;
   uint64_t peak_stored_bytes = 0;
-  uint64_t latency_count = 0;    // emitted-result latency samples
-  double latency_sum_us = 0;     // sum of those samples (mean = sum/count)
   uint64_t shed_probes_skipped = 0;  // probes skipped by load shedding
   uint32_t shed_rate_ppm = 1000000;  // admitted probe fraction (ppm; 1e6 =
                                      // exact, anything lower = shedding)
@@ -151,7 +148,7 @@ class TaskTelemetry {
  public:
   /// Payload width in words (shared by both task kinds; the wider joiner
   /// layout sets the size).
-  static constexpr size_t kWords = 20;
+  static constexpr size_t kWords = 18;
 
   /// Publishes a joiner's counters plus epoch / migration / participation /
   /// shedding state. `active` is whether the joiner is inside its group's
@@ -175,14 +172,11 @@ class TaskTelemetry {
     w[10] = m.stored_tuples;
     w[11] = m.stored_bytes;
     w[12] = m.peak_stored_bytes;
-    w[13] = m.latency_us.count();
-    const double sum = m.latency_us.sum();
-    std::memcpy(&w[14], &sum, sizeof(sum));
-    w[15] = epoch;
-    w[16] = migrating ? 1 : 0;
-    w[17] = active ? 1 : 0;
-    w[18] = m.shed_probes_skipped;
-    w[19] = shed_rate_ppm;
+    w[13] = epoch;
+    w[14] = migrating ? 1 : 0;
+    w[15] = active ? 1 : 0;
+    w[16] = m.shed_probes_skipped;
+    w[17] = shed_rate_ppm;
     cell_.Publish(w);
   }
 
@@ -218,17 +212,15 @@ class TaskTelemetry {
     s.stored_tuples = w[10];
     s.stored_bytes = w[11];
     s.peak_stored_bytes = w[12];
-    s.latency_count = w[13];
-    std::memcpy(&s.latency_sum_us, &w[14], sizeof(s.latency_sum_us));
-    s.epoch = static_cast<uint32_t>(w[15]);
-    s.migrating = w[16] != 0;
-    s.active = w[17] != 0;
-    s.shed_probes_skipped = w[18];
+    s.epoch = static_cast<uint32_t>(w[13]);
+    s.migrating = w[14] != 0;
+    s.active = w[15] != 0;
+    s.shed_probes_skipped = w[16];
     // A never-published cell reads all-zero words; rate 0 is unreachable
     // (admission probabilities are clamped positive so HT weights stay
     // finite), so decode it as "exact" instead of "shedding everything".
     s.shed_rate_ppm =
-        w[19] == 0 ? 1000000u : static_cast<uint32_t>(w[19]);
+        w[17] == 0 ? 1000000u : static_cast<uint32_t>(w[17]);
     return s;
   }
 

@@ -2,37 +2,34 @@
 // controller) is written once against Task/Context and runs on either the
 // deterministic simulator or the multithreaded engine.
 //
-// Two dispatch granularities exist:
+// One dispatch model: engines deliver work through Task::OnBatch only, one
+// TupleBatch per call — the threaded engine one consumed exchange batch,
+// the simulator one send unit (a Send/Post envelope or a SendBatch/
+// PostBatch data run). Handing a batch to the task in one call amortizes
+// the per-envelope virtual dispatch, type switch, and bookkeeping over the
+// run, and lets one steady data path per task serve both engines.
 //
-//  - OnMessage: one envelope at a time. Every task must implement it; it is
-//    the only path the SimEngine uses and the fallback for everything the
-//    batch path does not cover.
-//  - OnBatch: one TupleBatch at a time. The threaded engine's batched
-//    exchange plane delivers whole batches, and handing them to the task in
-//    one call amortizes the per-envelope virtual dispatch, type switch, and
-//    bookkeeping that otherwise dominate the exchange hot path. The default
-//    implementation simply loops OnMessage, so tasks that never override it
-//    (and every task on the SimEngine) behave exactly as before.
+// OnMessage is the per-envelope handler. The default OnBatch loops it, so a
+// task that needs no batch specialization implements OnMessage alone; an
+// override that does specialize hands the shapes it does not take (control
+// singletons, migration-time batches) to that loop, and tests may call
+// OnMessage directly. No engine calls OnMessage.
 //
-// Invariants an OnBatch implementer may rely on (established by the exchange
-// layer — see ARCHITECTURE.md "Operator dispatch"):
+// Invariants an OnBatch implementer may rely on (established by both
+// engines — see ARCHITECTURE.md "Operator dispatch"):
 //
-//  1. Single-threaded per task: like OnMessage, OnBatch is never invoked
-//     concurrently for the same task instance, and OnMessage/OnBatch calls
-//     never overlap each other.
+//  1. Single-threaded per task: OnBatch is never invoked concurrently for
+//     the same task instance.
 //  2. Per-edge FIFO: a batch contains consecutive envelopes of exactly one
 //     sender→receiver edge, in send order, and batches of the same edge
 //     arrive in send order.
 //  3. Control cuts batches: control messages (epoch signals, migration
 //     markers, acks, EOS) always travel as singleton batches, so a batch is
-//     either pure data (kInput/kData/kMigrate) or a single control message —
-//     never a mix. Because reshufflers emit the epoch-change signal before
-//     routing under the new mapping, a data batch also never mixes epochs;
-//     per-envelope epoch checks may be hoisted to once per batch.
-//
-// An override that cannot handle a particular batch shape (e.g. a joiner in
-// migration mode that needs per-envelope Δ/Δ' bookkeeping) must delegate to
-// Task::OnBatch, which preserves exact per-envelope semantics.
+//     either pure data (kInput/kData/kMigrate/kResult) or a single control
+//     message — never a mix. Because reshufflers emit the epoch-change
+//     signal before routing under the new mapping, a data batch also never
+//     mixes epochs; per-envelope epoch checks may be hoisted to once per
+//     batch.
 
 #pragma once
 
@@ -56,10 +53,10 @@ class Context {
   virtual void Send(int to, Envelope msg) = 0;
 
   /// Sends a run of *data* envelopes (no control messages) to one task as a
-  /// unit, preserving their order on the edge. Engines that batch the wire
-  /// (the threaded engine's exchange plane) override this to amortize
-  /// in-flight accounting and outbox work over the run; the default loops
-  /// Send, so the two are observably equivalent. `run` is consumed.
+  /// unit, preserving their order on the edge. Both engines override this:
+  /// the threaded engine amortizes in-flight accounting and outbox work over
+  /// the run, and the simulator delivers the run as one batch. The default
+  /// loops Send, so the two are observably equivalent. `run` is consumed.
   virtual void SendBatch(int to, TupleBatch&& run) {
     for (Envelope& msg : run.items) Send(to, std::move(msg));
     run.Clear();
@@ -70,22 +67,26 @@ class Context {
   virtual uint64_t NowMicros() const = 0;
 };
 
-/// An event-driven task. OnMessage/OnBatch are never invoked concurrently
-/// for the same task instance.
+/// An event-driven task. Engines dispatch through OnBatch only, never
+/// concurrently for the same task instance.
 class Task {
  public:
   virtual ~Task() = default;
+
+  /// Per-envelope handler: the default OnBatch loop calls it once per
+  /// envelope, and tests may call it directly.
   virtual void OnMessage(Envelope msg, Context& ctx) = 0;
 
-  /// Batch-level dispatch (see file header for the invariants callers
-  /// guarantee). The default unpacks the batch into one OnMessage call per
-  /// envelope, in order. An override must give, per dispatch, the same end
-  /// state and the same results as that loop — the same multiset on every
-  /// outgoing edge, though their order within the dispatch may differ, and
-  /// so may which input of a join pair probed for it (JoinerCore::OnBatch)
-  /// — and keep per-edge FIFO between dispatches: what one dispatch sends on
-  /// an edge precedes what the next one sends there. Overrides fall back to
-  /// the loop for batch shapes they do not specialize.
+  /// Batch-level dispatch, the engines' entry point (see file header for
+  /// the invariants they guarantee). The default unpacks the batch into one
+  /// OnMessage call per envelope, in order. An override must give, per
+  /// dispatch, the same end state and the same results as that loop — the
+  /// same multiset on every outgoing edge, though their order within the
+  /// dispatch may differ, and so may which input of a join pair probed for
+  /// it (JoinerCore::OnBatch) — and keep per-edge FIFO between dispatches:
+  /// what one dispatch sends on an edge precedes what the next one sends
+  /// there. Overrides fall back to the loop for batch shapes they do not
+  /// specialize.
   virtual void OnBatch(TupleBatch batch, Context& ctx) {
     for (Envelope& msg : batch.items) {
       OnMessage(std::move(msg), ctx);
@@ -99,7 +100,7 @@ class Task {
   /// one on the first message — but dormancy never affects delivery: a
   /// message sent to a dormant task is always processed. Read from engine
   /// threads between dispatches; implementations must only depend on state
-  /// written by this task's own OnMessage/OnBatch calls.
+  /// written by this task's own dispatches.
   virtual bool dormant() const { return false; }
 };
 
@@ -119,10 +120,10 @@ struct IngressPortStats {
 /// on the threaded engine a dedicated producer slot in the exchange plane
 /// (one SPSC ring per port→task edge) — so concurrent drivers each holding
 /// their own port never contend on a shared mutex; on the simulator a port
-/// is a deterministic shim that enqueues per tuple. A port is single-
-/// producer: it must be used from one thread at a time, and it must not
-/// outlive the engine that opened it (the destructor flushes anything still
-/// buffered and unregisters from the engine).
+/// is a deterministic shim that enqueues each post as one unit. A port is
+/// single-producer: it must be used from one thread at a time, and it must
+/// not outlive the engine that opened it (the destructor flushes anything
+/// still buffered and unregisters from the engine).
 ///
 /// Post/PostBatch after Engine::Shutdown() reject cleanly: they return
 /// false and drop the message, preserving clean post-Shutdown semantics

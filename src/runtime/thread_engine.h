@@ -3,12 +3,13 @@
 // with size/deadline/control batching and credit-based backpressure. A slow
 // joiner stalls only the edges feeding it; the driver blocks only when the
 // specific ingress edge it is posting on is out of credits. Every consumed
-// batch is handed to Task::OnBatch whole, so operators with batch
-// specializations (reshuffler routing, joiner store/probe) skip the
-// per-envelope dispatch entirely; a task without one runs OnBatch's default,
-// one OnMessage call per envelope. (The original per-tuple mutex+deque
-// Channel plane is retired; ExchangeConfig with batch_size = 1 is the
-// per-tuple reference configuration.)
+// batch is handed to Task::OnBatch whole — the one dispatch entry point,
+// shared with the simulator — so the batch paths (reshuffler routing,
+// joiner store/probe, agg routing) are the only steady data paths; a task
+// without a specialization runs OnBatch's default, one OnMessage call per
+// envelope. (The original per-tuple mutex+deque Channel plane is retired;
+// ExchangeConfig with batch_size = 1 is the per-tuple reference
+// configuration.)
 //
 // Quiescence: an in-flight envelope counter incremented at send (including
 // envelopes still buffered in a batcher) and decremented once per consumed

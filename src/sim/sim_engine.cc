@@ -1,5 +1,7 @@
 #include "src/sim/sim_engine.h"
 
+#include <algorithm>
+
 #include "src/common/status.h"
 
 namespace ajoin {
@@ -12,7 +14,18 @@ class SimEngine::SimContext : public Context {
 
   void Send(int to, Envelope msg) override {
     msg.from = self_;
-    engine_->queue_.emplace_back(to, std::move(msg));
+    engine_->Enqueue(to, std::move(msg));
+  }
+
+  // The run stays one send unit, so the receiver gets it as one batch, as
+  // it would from the threaded engine's exchange plane.
+  void SendBatch(int to, TupleBatch&& run) override {
+    for (Envelope& msg : run.items) {
+      AJOIN_CHECK_MSG(!IsControlMsg(msg.type), "SendBatch run holds control");
+      msg.from = self_;
+    }
+    if (!run.empty()) engine_->queue_.push_back(Item{to, std::move(run)});
+    run.Clear();
   }
 
   uint64_t NowMicros() const override { return engine_->logical_time_; }
@@ -34,30 +47,27 @@ class SimEngine::SimPort : public IngressPort {
   using IngressPort::PostBatch;
 
   bool Post(int to, Envelope msg) override {
-    if (engine_->shut_down_) {
-      rejected_++;
-      return false;
-    }
-    AJOIN_CHECK_MSG(to >= 0 && to < static_cast<int>(engine_->tasks_.size()),
-                    "Post to unknown task");
-    engine_->queue_.emplace_back(to, std::move(msg));
+    if (!Accept(to)) return false;
+    engine_->Enqueue(to, std::move(msg));
     posted_++;
     return true;
   }
 
   bool PostBatch(int to, TupleBatch&& batch) override {
-    if (engine_->shut_down_) {
-      rejected_++;
-      return false;
-    }
-    // One enqueue per envelope, in order: exactly what a per-tuple driver
-    // would have produced, so simulator runs stay deterministic and
-    // per-tuple drain cadences observe every envelope.
-    for (Envelope& msg : batch.items) {
-      if (!Post(to, std::move(msg))) return false;
+    if (!Accept(to)) return false;
+    posted_ += batch.size();
+    batches_++;
+    // A data batch is one unit; control cuts batches, so a batch holding
+    // control is one unit per envelope.
+    const bool data = std::none_of(
+        batch.items.begin(), batch.items.end(),
+        [](const Envelope& msg) { return IsControlMsg(msg.type); });
+    if (data) {
+      if (!batch.empty()) engine_->queue_.push_back(Item{to, std::move(batch)});
+    } else {
+      for (Envelope& msg : batch.items) engine_->Enqueue(to, std::move(msg));
     }
     batch.Clear();
-    batches_++;
     return true;
   }
 
@@ -75,6 +85,17 @@ class SimEngine::SimPort : public IngressPort {
   }
 
  private:
+  // False (and counted) after Shutdown; checks the destination otherwise.
+  bool Accept(int to) {
+    if (engine_->shut_down_) {
+      rejected_++;
+      return false;
+    }
+    AJOIN_CHECK_MSG(to >= 0 && to < static_cast<int>(engine_->tasks_.size()),
+                    "Post to unknown task");
+    return true;
+  }
+
   SimEngine* engine_;
   const int to_;
   uint64_t posted_ = 0;
@@ -92,14 +113,15 @@ void SimEngine::WaitQuiescent() {
   AJOIN_CHECK_MSG(!draining_, "reentrant WaitQuiescent");
   draining_ = true;
   while (!queue_.empty()) {
-    auto [to, msg] = std::move(queue_.front());
+    Item item = std::move(queue_.front());
     queue_.pop_front();
-    AJOIN_CHECK_MSG(to >= 0 && to < static_cast<int>(tasks_.size()),
+    AJOIN_CHECK_MSG(item.to >= 0 && item.to < static_cast<int>(tasks_.size()),
                     "message to unknown task");
-    SimContext ctx(this, to);
-    tasks_[static_cast<size_t>(to)]->OnMessage(std::move(msg), ctx);
-    ++dispatched_;
-    ++logical_time_;
+    const uint64_t envelopes = item.batch.size();
+    SimContext ctx(this, item.to);
+    tasks_[static_cast<size_t>(item.to)]->OnBatch(std::move(item.batch), ctx);
+    dispatched_ += envelopes;
+    logical_time_ += envelopes;
   }
   draining_ = false;
 }

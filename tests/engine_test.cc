@@ -1,7 +1,7 @@
-// Engine tests: FIFO/determinism of the simulator, quiescence and ordering
-// guarantees of the threaded engine, and the IngressPort contract (per-port
-// FIFO, batch delivery, post-Shutdown rejection) on both engines and both
-// exchange planes.
+// Engine tests: FIFO/determinism and send-unit dispatch of the simulator,
+// quiescence and ordering guarantees of the threaded engine, and the
+// IngressPort contract (per-port FIFO, batch delivery, post-Shutdown
+// rejection) on both engines and both exchange planes.
 
 #include <gtest/gtest.h>
 
@@ -178,9 +178,9 @@ TupleBatch SeqBatch(uint64_t first, uint64_t count) {
   return batch;
 }
 
-// PostBatch must unpack to the same per-tuple queue entries as per-envelope
-// Post, in the same per-edge order, on the deterministic engine (same
-// dispatched count — the drain_every-preservation contract).
+// PostBatch must deliver the same envelopes as per-envelope Post, in the
+// same per-edge order, on the deterministic engine; dispatched() counts
+// envelopes, not send units.
 TEST(SimEngine, IngressPortBatchMatchesPerEnvelope) {
   auto run = [](bool use_batches) {
     SimEngine engine;
@@ -203,6 +203,81 @@ TEST(SimEngine, IngressPortBatchMatchesPerEnvelope) {
   };
   const std::vector<uint64_t> want = run(false);
   EXPECT_EQ(run(true), want);
+}
+
+// Records every OnBatch call — the engines' only entry point — as the seqs
+// it carried and the logical clock it saw; optionally relays each batch to
+// a peer, its first envelope by Send and the rest as one SendBatch run.
+class BatchRecorder : public Task {
+ public:
+  explicit BatchRecorder(int relay_to = -1) : relay_to_(relay_to) {}
+
+  void OnMessage(Envelope msg, Context& ctx) override {
+    (void)msg;
+    (void)ctx;
+    ADD_FAILURE() << "an engine called OnMessage";
+  }
+
+  void OnBatch(TupleBatch batch, Context& ctx) override {
+    std::vector<uint64_t> seqs;
+    for (const Envelope& msg : batch.items) seqs.push_back(msg.seq);
+    batches.push_back(seqs);
+    clocks.push_back(ctx.NowMicros());
+    if (relay_to_ < 0) return;
+    ctx.Send(relay_to_, std::move(batch.items.front()));
+    TupleBatch rest;
+    for (size_t i = 1; i < batch.size(); ++i) {
+      rest.Add(std::move(batch.items[i]));
+    }
+    ctx.SendBatch(relay_to_, std::move(rest));
+  }
+
+  std::vector<std::vector<uint64_t>> batches;
+  std::vector<uint64_t> clocks;
+
+ private:
+  int relay_to_;
+};
+
+// The simulator dispatches one send unit per OnBatch: a Post, a Send or a
+// control message alone, a PostBatch or SendBatch data run whole, and a
+// PostBatch holding control one envelope at a time. Global FIFO holds, and
+// dispatched() and the logical clock count envelopes.
+TEST(SimEngine, DispatchesSendUnitsThroughOnBatch) {
+  SimEngine engine;
+  auto* sink = new BatchRecorder();
+  auto* relay = new BatchRecorder(/*relay_to=*/0);
+  engine.AddTask(std::unique_ptr<Task>(sink));
+  engine.AddTask(std::unique_ptr<Task>(relay));
+  engine.Start();
+  std::unique_ptr<IngressPort> port = engine.OpenIngress(0);
+  ASSERT_TRUE(port->Post(SeqMsg(1)));
+  ASSERT_TRUE(port->PostBatch(SeqBatch(2, 3)));
+  Envelope eos = SeqMsg(5);
+  eos.type = MsgType::kEos;
+  ASSERT_TRUE(port->Post(std::move(eos)));
+  TupleBatch with_control = SeqBatch(6, 2);
+  Envelope flush = SeqMsg(8);
+  flush.type = MsgType::kFlush;
+  with_control.Add(std::move(flush));
+  with_control.Add(SeqMsg(9));
+  ASSERT_TRUE(port->PostBatch(std::move(with_control)));
+  ASSERT_TRUE(port->PostBatch(1, SeqBatch(10, 3)));
+  engine.WaitQuiescent();
+
+  using Batches = std::vector<std::vector<uint64_t>>;
+  EXPECT_EQ(relay->batches, (Batches{{10, 11, 12}}));
+  EXPECT_EQ(sink->batches,
+            (Batches{{1}, {2, 3, 4}, {5}, {6}, {7}, {8}, {9}, {10}, {11, 12}}));
+  // Each dispatch sees the envelopes dispatched before its unit.
+  EXPECT_EQ(relay->clocks, (std::vector<uint64_t>{9}));
+  EXPECT_EQ(sink->clocks,
+            (std::vector<uint64_t>{0, 1, 4, 5, 6, 7, 8, 12, 13}));
+  EXPECT_EQ(engine.dispatched(), 15u);
+  EXPECT_EQ(engine.NowMicros(), 15u);
+  const IngressPortStats stats = port->stats();
+  EXPECT_EQ(stats.posted_envelopes, 12u);
+  EXPECT_EQ(stats.posted_batches, 3u);
 }
 
 // Post/PostBatch after Shutdown() must reject cleanly (return false, drop

@@ -144,10 +144,11 @@ TEST(JoinerProtocol, RelationGroupedBatchMatchesEnvelopeLoop) {
       {data(Rel::kS, 3, 15), data(Rel::kS, 3, 16), data(Rel::kR, 3, 17)},
   };
   // A last batch holds one probe-only tuple (a multi-group operator's
-  // cross-group probe), which keeps the per-envelope order.
+  // cross-group probe), which cuts it into two runs of stored tuples.
   std::vector<Envelope> mixed = {data(Rel::kR, 2, 18), data(Rel::kS, 1, 19),
                                  data(Rel::kS, 2, 20), data(Rel::kR, 1, 21)};
   mixed[1].store = false;
+  constexpr uint64_t kProbeOnlySeq = 19;
 
   for (const JoinSpec& spec : {MakeEquiJoin(0, 0), MakeBandJoin(0, 0, -1, 1)}) {
     SCOPED_TRACE(spec.name);
@@ -176,26 +177,39 @@ TEST(JoinerProtocol, RelationGroupedBatchMatchesEnvelopeLoop) {
     }
     // (seq, tag, key, bytes, weight) multisets; every result's key is its
     // R tuple's (seq is r_seq).
-    std::vector<Result> got = SentResults(batch_ctx);
-    std::vector<Result> want = SentResults(loop_ctx);
-    ASSERT_EQ(got.size(), batched.output_count());
-    for (std::vector<Result>* results : {&got, &want}) {
-      for (Result& res : *results) {
+    const auto multiset = [&key_of](std::vector<Result> results) {
+      for (Result& res : results) {
         EXPECT_EQ(std::get<2>(res), key_of.at(std::get<0>(res)));
         std::get<5>(res) = Rel::kR;
         std::get<6>(res) = 0;
       }
-      std::sort(results->begin(), results->end());
-    }
-    EXPECT_EQ(got, want);
+      std::sort(results.begin(), results.end());
+      return results;
+    };
+    ASSERT_EQ(SentResults(batch_ctx).size(), batched.output_count());
+    EXPECT_EQ(multiset(SentResults(batch_ctx)),
+              multiset(SentResults(loop_ctx)));
 
-    // A probe-only tuple sends the batch down the per-envelope path:
-    // element for element the same results, probing side included.
+    // The mixed batch: the same result multiset as the loop, and the
+    // probe-only tuple's pairs (s_seq = tag = 19) element for element,
+    // probing side included — it probes exactly the stores that precede
+    // it, R tuple 18 of its own batch among them.
     batch_ctx.sent.clear();
     loop_ctx.sent.clear();
     feed(mixed);
-    EXPECT_FALSE(SentResults(batch_ctx).empty());
-    EXPECT_EQ(SentResults(batch_ctx), SentResults(loop_ctx));
+    const auto probe_only_pairs = [](std::vector<Result> results) {
+      results.erase(std::remove_if(results.begin(), results.end(),
+                                   [](const Result& res) {
+                                     return std::get<1>(res) != kProbeOnlySeq;
+                                   }),
+                    results.end());
+      return results;
+    };
+    EXPECT_FALSE(probe_only_pairs(SentResults(batch_ctx)).empty());
+    EXPECT_EQ(probe_only_pairs(SentResults(batch_ctx)),
+              probe_only_pairs(SentResults(loop_ctx)));
+    EXPECT_EQ(multiset(SentResults(batch_ctx)),
+              multiset(SentResults(loop_ctx)));
     EXPECT_EQ(batched.output_count(), looped.output_count());
     for (const Rel rel : {Rel::kR, Rel::kS}) {
       EXPECT_EQ(batched.stored_count(rel), looped.stored_count(rel));

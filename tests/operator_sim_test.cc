@@ -94,6 +94,7 @@ struct RunSpec {
   bool drain_per_tuple = false;
   bool barrier = false;
   uint64_t checkpoint_every = 64;
+  uint32_t ingress_batch = 1;
 };
 
 // Runs the stream through a JoinOperator on SimEngine and returns pairs.
@@ -113,6 +114,7 @@ std::vector<std::pair<uint64_t, uint64_t>> RunOperator(
   cfg.collect_pairs = true;
   JoinOperator op(engine, cfg);
   engine.Start();
+  op.SetIngressBatch(rs.ingress_batch);
   uint64_t pushed = 0;
   for (const StreamTuple& t : stream.tuples) {
     op.Push(t);
@@ -218,6 +220,40 @@ TEST(OperatorSim, MultiGroupNonPowerOfTwo) {
                                    .barrier = true,
                                    .checkpoint_every = 32});
     EXPECT_EQ(got, ReferencePairs(stream, spec)) << "J " << j;
+  }
+}
+
+TEST(OperatorSim, IngressBatchedRunsMatchReference) {
+  // Ingress batches reach a reshuffler as one send unit, so its routed runs
+  // give the joiners multi-tuple batches: relation-grouped probe/store
+  // runs, live migrations on the per-envelope Δ/Δ' path, and — in
+  // multi-group operators, where every tuple is stored in one group and
+  // probe-only in the others — runs cut at probe-only tuples.
+  for (uint32_t batch : {16u, 64u}) {
+    for (const JoinSpec& spec :
+         {MakeEquiJoin(0, 0), MakeBandJoin(0, 0, -2, 2)}) {
+      SyntheticStream stream = MakeStream(150, 1200, 30, 60 + batch);
+      uint64_t migrations = 0;
+      auto got = RunOperator(stream, spec,
+                             RunSpec{.machines = 8,
+                                     .epsilon = 0.25,
+                                     .ingress_batch = batch},
+                             &migrations);
+      EXPECT_EQ(got, ReferencePairs(stream, spec))
+          << spec.name << " batch " << batch;
+      EXPECT_GE(migrations, 1u) << spec.name << " batch " << batch;
+    }
+    const JoinSpec spec = MakeEquiJoin(0, 0);
+    for (uint32_t j : {3u, 6u, 12u, 20u}) {
+      SyntheticStream stream = MakeStream(200, 600, 10, 80 + j);
+      auto got = RunOperator(stream, spec,
+                             RunSpec{.machines = j,
+                                     .barrier = true,
+                                     .checkpoint_every = 128,
+                                     .ingress_batch = batch});
+      EXPECT_EQ(got, ReferencePairs(stream, spec))
+          << "J " << j << " batch " << batch;
+    }
   }
 }
 

@@ -244,28 +244,30 @@ TEST(OperatorThread, RowModeResidualPredicate) {
 }
 
 TEST(OperatorThread, BatchDispatchMatchesEnvelopeDispatchAcrossMigration) {
-  // The OnBatch specializations (reshuffler one-pass routing, joiner
-  // relation-grouped probe/store) must produce the same join pairs as
-  // per-envelope dispatch — including across live migrations, where the
-  // joiner falls back to per-envelope Δ/Δ' handling mid-stream. The
-  // per-envelope side is the SimEngine, which hands every envelope to
-  // OnMessage. Aggressive epsilon guarantees at least one migration is in
-  // flight while data keeps arriving.
+  // The OnBatch paths (reshuffler one-pass routing, joiner relation-grouped
+  // probe/store) must produce the same join pairs on the threaded engine's
+  // racing schedule as on the SimEngine's deterministic one — including
+  // across live migrations, where the joiner falls back to per-envelope
+  // Δ/Δ' handling mid-stream. Both sides batch: the SimEngine dispatches
+  // each send unit through OnBatch too, here with per-tuple ingress, so its
+  // reshufflers and joiners see one-tuple batches. Aggressive epsilon
+  // guarantees at least one migration is in flight while data keeps
+  // arriving.
   JoinSpec spec = MakeEquiJoin(0, 0);
   for (uint64_t seed = 50; seed < 54; ++seed) {
     auto stream = MakeStream(400 + 13 * seed, 1200 + 29 * seed, 24, seed);
     auto want = ReferencePairs(stream, spec);
-    uint64_t migrations_batch = 0, migrations_env = 0;
+    uint64_t migrations_batch = 0, migrations_sim = 0;
     auto with_batch = RunThreaded(stream, spec, 8, 0.25, &migrations_batch,
                                   Plane::kBatched);
     SimEngine sim;
-    auto with_env = RunOn(sim, stream, spec, 8, 0.25, &migrations_env,
+    auto with_sim = RunOn(sim, stream, spec, 8, 0.25, &migrations_sim,
                           /*ingress_batch=*/1);
     EXPECT_EQ(with_batch, want) << "seed " << seed;
-    EXPECT_EQ(with_env, want) << "seed " << seed;
-    EXPECT_EQ(with_batch, with_env) << "seed " << seed;
+    EXPECT_EQ(with_sim, want) << "seed " << seed;
+    EXPECT_EQ(with_batch, with_sim) << "seed " << seed;
     EXPECT_GE(migrations_batch, 1u) << "seed " << seed;
-    EXPECT_GE(migrations_env, 1u) << "seed " << seed;
+    EXPECT_GE(migrations_sim, 1u) << "seed " << seed;
   }
 }
 

@@ -188,12 +188,6 @@ class FakeShedOp : public Operator {
   size_t num_joiner_slots() const override { return 0; }
   uint64_t pushed_total() const override { return 0; }
   const ControllerCore* controller() const override { return nullptr; }
-  uint64_t TotalOutputs() const override { return 0; }
-  std::vector<std::pair<uint64_t, uint64_t>> CollectPairs() const override {
-    return {};
-  }
-  uint64_t MaxInBytes() const override { return 0; }
-  uint64_t TotalStoredBytes() const override { return 0; }
 
   std::vector<uint32_t> rates;
   uint32_t grow_calls = 0;

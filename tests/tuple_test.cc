@@ -149,7 +149,6 @@ TEST(Message, ControlDataClassification) {
   EXPECT_TRUE(IsControlMsg(MsgType::kReshufSignal));
   EXPECT_TRUE(IsControlMsg(MsgType::kMigAck));
   EXPECT_TRUE(IsControlMsg(MsgType::kEos));
-  EXPECT_TRUE(IsControlMsg(MsgType::kExpand));
   EXPECT_TRUE(IsControlMsg(MsgType::kCheckpoint));
 }
 

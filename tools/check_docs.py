@@ -30,6 +30,11 @@
    library (src/) is the live system and must build without them. The
    separate ajoin_reference library alone would not catch this: LocalJoiner
    and ReferenceAggregator are header-only.
+5. No engine source (src/sim/, src/runtime/thread_engine.*) calls
+   OnMessage. Engines dispatch through Task::OnBatch only, so the
+   simulator runs the batch paths the threaded engine runs; the default
+   OnBatch loop in src/runtime/task.h is the one place that calls
+   OnMessage for an engine.
 
 Exit code 0 = clean; 1 = findings (printed one per line).
 """
@@ -235,10 +240,32 @@ def check_reference_boundary():
     return errors
 
 
+ENGINE_SOURCES = ("src/sim/*.h", "src/sim/*.cc",
+                  "src/runtime/thread_engine.h",
+                  "src/runtime/thread_engine.cc")
+ONMESSAGE_CALL_RE = re.compile(r"\bOnMessage\s*\(")
+
+
+def check_engine_dispatch():
+    """No engine source calls OnMessage (comments aside)."""
+    errors = []
+    paths = sorted({path for pattern in ENGINE_SOURCES
+                    for path in REPO.glob(pattern)})
+    for path in paths:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for idx, line in enumerate(lines):
+            code = line.split("//", 1)[0]
+            if ONMESSAGE_CALL_RE.search(code):
+                errors.append(
+                    f"{path.relative_to(REPO)}:{idx + 1}: engine calls "
+                    "OnMessage (engines dispatch through Task::OnBatch only)")
+    return errors
+
+
 def main():
     errors = (check_links() + check_onbatch_doc_comments()
               + check_api_doc_comments() + check_free_function_doc_comments()
-              + check_reference_boundary())
+              + check_reference_boundary() + check_engine_dispatch())
     for error in errors:
         print(error)
     if errors:

@@ -57,9 +57,8 @@ EXCHANGE_KEYS = ("envelopes", "batches", "credit_waits", "credit_wait_ns",
 JOINER_KEYS = ("in_tuples", "in_bytes", "probe_candidates", "output_tuples",
                "mig_out_tuples", "mig_in_tuples", "discarded_tuples",
                "migrations_finalized", "stored_tuples", "stored_bytes",
-               "peak_stored_bytes", "latency_count", "latency_sum_us",
-               "epoch", "migrating", "active", "shed_probes_skipped",
-               "shed_rate_ppm")
+               "peak_stored_bytes", "epoch", "migrating", "active",
+               "shed_probes_skipped", "shed_rate_ppm")
 RESHUFFLER_KEYS = ("routed_tuples", "sent_msgs", "sent_bytes",
                    "epoch_changes", "results_restamped")
 AGG_KEYS = ("in_tuples", "in_bytes", "groups", "table_bytes",
