@@ -150,7 +150,7 @@ void AggRouterCore::RouteBatch(TupleBatch& batch, Context& ctx) {
 }
 
 uint32_t AggRouterCore::Restamp(Envelope& msg) {
-  if (msg.type == MsgType::kResult) ++results_restamped_;
+  if (msg.type == MsgType::kResult) ++metrics_.results_restamped;
   int64_t key = msg.key;
   if (config_.key_col >= 0) {
     AJOIN_CHECK(msg.has_row);
@@ -283,7 +283,7 @@ void AggRouterCore::MaybeFlush(Context& ctx) {
 
 void AggRouterCore::Publish() {
   if (config_.telemetry == nullptr) return;
-  config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
+  config_.telemetry->Publish(metrics_);
 }
 
 // ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ void AggWorkerCore::MergeTuple(const Envelope& msg, Context& ctx) {
     value = msg.row.Int64(static_cast<size_t>(config_.value_col));
   }
   table_.Upsert(msg.key)->Merge(msg.weight, value);
-  ++in_tuples_;
-  in_bytes_ += msg.bytes;
+  ++metrics_.in_tuples;
+  metrics_.in_bytes += msg.bytes;
   ++merged_since_emit_;
   if (config_.emit_every > 0 && config_.result_sink >= 0 && !migrating_ &&
       merged_since_emit_ >= config_.emit_every) {
@@ -365,7 +365,7 @@ void AggWorkerCore::HandleMigrate(const Envelope& msg) {
   // worker's own signals (the sender's last signal can precede ours).
   AJOIN_CHECK(msg.has_row);
   table_.UpsertCell(msg.key, msg.tag)->acc.Absorb(AccumFromRow(msg.row, 0));
-  ++mig_in_cells_;
+  ++metrics_.mig_in_cells;
 }
 
 void AggWorkerCore::HandleMigEnd(Context& ctx) {
@@ -434,7 +434,7 @@ void AggWorkerCore::ShipState(Context& ctx) {
       mu.row = AccumRow(cell.acc);
       TupleBatch& run = runs[target];
       run.Add(std::move(mu));
-      ++mig_out_cells_;
+      ++metrics_.mig_out_cells;
       if (run.size() >= kRunMax) {
         ctx.SendBatch(config_.worker_task_base + target, std::move(run));
         run.Clear();
@@ -494,7 +494,7 @@ void AggWorkerCore::MaybeFinalize(Context& ctx) {
   migrating_ = false;
   signals_seen_ = 0;
   migend_pending_ = 0;
-  ++migrations_finalized_;
+  ++metrics_.migrations_finalized;
   if (config_.trace != nullptr) {
     config_.trace->Record(TraceEventKind::kMigrationFinalize, ctx.self(),
                           ctx.NowMicros(), epoch_, config_.index);
@@ -541,7 +541,7 @@ void AggWorkerCore::StageResult(const AggTable::Cell& cell, Context& ctx) {
   out.row.Append(Value(cell.key));
   out.row.AppendAll(AccumRow(cell.acc));
   egress_.Add(std::move(out));
-  ++emitted_;
+  ++metrics_.emitted_results;
   if (egress_.size() >= kRunMax) FlushEgress(ctx);
 }
 
@@ -553,19 +553,12 @@ void AggWorkerCore::FlushEgress(Context& ctx) {
 
 void AggWorkerCore::Publish() {
   if (config_.telemetry == nullptr) return;
-  AggSnapshot s;
-  s.in_tuples = in_tuples_;
-  s.in_bytes = in_bytes_;
-  s.groups = table_.size();
-  s.table_bytes = table_.MemoryBytes();
-  s.mig_out_cells = mig_out_cells_;
-  s.mig_in_cells = mig_in_cells_;
-  s.migrations_finalized = migrations_finalized_;
-  s.emitted_results = emitted_;
-  s.epoch = epoch_;
-  s.migrating = migrating_;
-  s.flushed = flushed_;
-  config_.telemetry->PublishAgg(s);
+  metrics_.groups = table_.size();
+  metrics_.table_bytes = table_.MemoryBytes();
+  metrics_.epoch = epoch_;
+  metrics_.migrating = migrating_;
+  metrics_.flushed = flushed_;
+  config_.telemetry->Publish(metrics_);
 }
 
 // ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ class AggRouterCore : public Task {
   /// Routing counters (engine must be quiescent).
   const ReshufflerMetrics& metrics() const { return metrics_; }
   /// Upstream kResult envelopes re-ingested as stage input.
-  uint64_t results_restamped() const { return results_restamped_; }
+  uint64_t results_restamped() const { return metrics_.results_restamped; }
   /// Controller only: epoch changes decided so far.
   uint64_t rebalances() const { return rebalances_; }
 
@@ -186,7 +186,6 @@ class AggRouterCore : public Task {
   uint32_t eos_seen_ = 0;
   bool note_sent_ = false;
   ReshufflerMetrics metrics_;
-  uint64_t results_restamped_ = 0;
   // OnBatch scratch: one run per worker, and the workers the batch touched.
   std::vector<TupleBatch> runs_;
   std::vector<uint32_t> touched_runs_;
@@ -244,14 +243,16 @@ class AggWorkerCore : public Task {
   /// Final aggregates emitted (the stage's flush barrier completed)?
   bool flushed() const { return flushed_; }
   /// Repartitions finalized by this worker.
-  uint64_t migrations_finalized() const { return migrations_finalized_; }
+  uint64_t migrations_finalized() const {
+    return metrics_.migrations_finalized;
+  }
   /// Accumulator cells shipped to / absorbed from peers.
-  uint64_t mig_out_cells() const { return mig_out_cells_; }
-  uint64_t mig_in_cells() const { return mig_in_cells_; }
+  uint64_t mig_out_cells() const { return metrics_.mig_out_cells; }
+  uint64_t mig_in_cells() const { return metrics_.mig_in_cells; }
   /// Data tuples merged (excludes migrated cells).
-  uint64_t in_tuples() const { return in_tuples_; }
+  uint64_t in_tuples() const { return metrics_.in_tuples; }
   /// kResult aggregates emitted downstream.
-  uint64_t emitted_results() const { return emitted_; }
+  uint64_t emitted_results() const { return metrics_.emitted_results; }
 
  private:
   void MergeTuple(const Envelope& msg, Context& ctx);
@@ -282,13 +283,10 @@ class AggWorkerCore : public Task {
   uint32_t flushes_seen_ = 0;
   bool flushed_ = false;
   TupleBatch egress_;
-  uint64_t in_tuples_ = 0;
-  uint64_t in_bytes_ = 0;
   uint64_t merged_since_emit_ = 0;
-  uint64_t mig_out_cells_ = 0;
-  uint64_t mig_in_cells_ = 0;
-  uint64_t migrations_finalized_ = 0;
-  uint64_t emitted_ = 0;
+  // The published record: the counters are bumped here; Publish fills in
+  // the table gauges and the protocol state above before each publish.
+  AggSnapshot metrics_;
 };
 
 /// Facade assembling the aggregation stage on an Engine: R router tasks

@@ -4,16 +4,19 @@
 // migration protocol (Alg. 3) as the mechanism so the stream never pauses.
 //
 // AutoscalePolicy is the decision logic: a pure, deterministic state
-// machine, testable without an engine — feed it one AutoscaleSample per
-// tick, get back kHold/kGrow/kShrink. Hysteresis (consecutive-tick
-// streaks), cooldown after an action, and a hard hold while a migration is
-// in flight all live here. ControlLoop (src/core/control_loop.h) builds the
-// samples from telemetry snapshots, steps the policy, and calls
-// Operator::GrowJoiners / ShrinkJoiners.
+// machine, testable without an engine — feed it one ControlSignals record
+// (src/core/signals.h) per tick, get back kHold/kGrow/kShrink. It reads the
+// live-joiner count, the migrating flag, the stall ratio and the input
+// rate. Hysteresis (consecutive-tick streaks), cooldown after an action,
+// and a hard hold while a migration is in flight all live here. ControlLoop
+// (src/core/control_loop.h) derives the signals from telemetry snapshots,
+// steps the policy, and calls Operator::GrowJoiners / ShrinkJoiners.
 
 #pragma once
 
 #include <cstdint>
+
+#include "src/core/signals.h"
 
 namespace ajoin {
 
@@ -42,24 +45,8 @@ struct AutoscaleConfig {
   uint32_t cooldown_ticks = 5;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct AutoscaleSample {
-  uint64_t t_us = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-  /// Any joiner mid-migration (the policy never acts while true).
-  bool migrating = false;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Max stored tuples on any live joiner (memory-pressure signal for
-  /// logging; the built-in triggers use stall/rate).
-  uint64_t per_joiner_stored = 0;
-};
-
 /// Deterministic scaling decision engine (no engine, no clock, no threads —
-/// drive it with synthetic samples in unit tests).
+/// drive it with synthetic signals in unit tests).
 class AutoscalePolicy {
  public:
   enum class Decision { kHold, kGrow, kShrink };
@@ -74,7 +61,7 @@ class AutoscalePolicy {
   /// reaches surge_ticks — bounds permitting; an idle tick symmetrically
   /// shrinks after idle_ticks; a neutral tick resets both streaks. Every
   /// action arms the cooldown.
-  Decision OnSample(const AutoscaleSample& s) {
+  Decision OnSample(const ControlSignals& s) {
     if (s.migrating) {
       surge_streak_ = idle_streak_ = 0;
       return Decision::kHold;

@@ -102,7 +102,7 @@ void ControlLoop::TickNow(uint64_t t_us) {
               : 0;
   for (size_t i = 0; i < ops_.size(); ++i) {
     Attached& a = ops_[i];
-    Signals s;
+    ControlSignals s;
     s.stall_ratio = stall_ratio;
     s.backlog = sample.backlog;
     uint64_t in_tuples = 0;
@@ -131,21 +131,15 @@ void ControlLoop::TickNow(uint64_t t_us) {
   have_last_ = true;
 }
 
-void ControlLoop::Step(size_t index, uint64_t t_us, const Signals& s) {
+void ControlLoop::Step(size_t index, uint64_t t_us,
+                       const ControlSignals& s) {
   Attached& a = ops_[index];
   Decision rec;
   rec.t_us = t_us;
   rec.op = index;
   rec.signals = s;
   if (a.autoscale.has_value()) {
-    AutoscaleSample sample;
-    sample.t_us = t_us;
-    sample.live_joiners = s.live_joiners;
-    sample.migrating = s.migrating;
-    sample.stall_ratio = s.stall_ratio;
-    sample.input_rate = s.input_rate;
-    sample.per_joiner_stored = s.max_stored;
-    const AutoscalePolicy::Decision d = a.autoscale->OnSample(sample);
+    const AutoscalePolicy::Decision d = a.autoscale->OnSample(s);
     if (d != AutoscalePolicy::Decision::kHold) {
       const bool grow = d == AutoscalePolicy::Decision::kGrow;
       rec.action = grow ? Action::kGrow : Action::kShrink;
@@ -157,18 +151,12 @@ void ControlLoop::Step(size_t index, uint64_t t_us, const Signals& s) {
     }
   }
   if (a.shed.has_value()) {
-    ShedSample sample;
-    sample.t_us = t_us;
-    sample.stall_ratio = s.stall_ratio;
-    sample.backlog = s.backlog;
-    sample.input_rate = s.input_rate;
-    sample.live_joiners = s.live_joiners;
     // Step a copy and keep it only if the operator runs the rate it chose:
     // after a refused change the policy stays where the joiners are, so the
     // next tick retries instead of stepping on from a rate never applied.
     ShedPolicy next = *a.shed;
     const uint32_t prev = a.shed->rate_ppm();
-    const uint32_t rate = next.OnSample(sample);
+    const uint32_t rate = next.OnSample(s);
     if (rate != prev) {
       rec.action = Action::kShedRate;
       rec.prev = prev;
@@ -361,7 +349,7 @@ void AppendTask(std::string* out, const TaskSnapshot& task) {
              &first);
     AppendKv(out, "flushed", static_cast<uint64_t>(a.flushed ? 1 : 0), &first);
   } else {
-    const ReshufflerSnapshot& r = task.reshuffler;
+    const ReshufflerMetrics& r = task.reshuffler;
     AppendKv(out, "routed_tuples", r.routed_tuples, &first);
     AppendKv(out, "sent_msgs", r.sent_msgs, &first);
     AppendKv(out, "sent_bytes", r.sent_bytes, &first);
@@ -496,7 +484,7 @@ bool ControlLoop::WriteJson(const std::string& path,
              &first);
     out.append(", \"signals\": {");
     bool sfirst = true;
-    const Signals& s = d.signals;
+    const ControlSignals& s = d.signals;
     AppendKv(&out, "live_joiners", static_cast<uint64_t>(s.live_joiners),
              &sfirst);
     AppendKv(&out, "migrating", static_cast<uint64_t>(s.migrating ? 1 : 0),

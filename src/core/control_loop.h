@@ -2,11 +2,12 @@
 // observes of the running operator). One thread samples the telemetry plane
 // at a fixed period. Each tick takes one MetricsRegistry snapshot (plus the
 // optional exchange-plane, per-edge and ingress-backlog sources), appends it
-// to a ring-buffered time series, derives every attached operator's signals
-// from that one sample, and steps the operator's AutoscalePolicy
-// (src/core/autoscale.h) and ShedPolicy (src/core/shed.h). Actions go
-// through Operator::GrowJoiners / ShrinkJoiners / SetShedRate, and each one
-// lands in a single decision log next to the signals that triggered it.
+// to a ring-buffered time series, derives every attached operator's
+// ControlSignals record (src/core/signals.h) from that one sample, and steps
+// the operator's AutoscalePolicy (src/core/autoscale.h) and ShedPolicy
+// (src/core/shed.h) on it. Actions go through Operator::GrowJoiners /
+// ShrinkJoiners / SetShedRate, and each one lands in a single decision log
+// next to the signals record that triggered it.
 // WriteJson exports the series, the decision log and the trace ring as
 // stable-schema JSON (schema_version 1, checked by
 // tools/validate_telemetry.py).
@@ -34,6 +35,7 @@
 #include "src/common/trace_ring.h"
 #include "src/core/autoscale.h"
 #include "src/core/shed.h"
+#include "src/core/signals.h"
 #include "src/exchange/exchange.h"
 #include "src/runtime/metrics_registry.h"
 
@@ -64,23 +66,6 @@ class ControlLoop {
   /// What a decision asked the operator to do.
   enum class Action { kGrow, kShrink, kShedRate };
 
-  /// One operator's signals, derived once per tick from the tick's sample.
-  struct Signals {
-    /// Joiners inside the live grid (telemetry `active` flag).
-    uint32_t live_joiners = 0;
-    /// Any joiner mid-migration.
-    bool migrating = false;
-    /// Plane-wide credit-stall time over the tick's wall time; can exceed 1
-    /// when several producers stall at once.
-    double stall_ratio = 0;
-    /// Input tuples/sec over the tick (joiner in_tuples delta).
-    double input_rate = 0;
-    /// Max stored tuples on any live joiner.
-    uint64_t max_stored = 0;
-    /// Ingress backlog gauge (envelopes posted, not consumed).
-    uint64_t backlog = 0;
-  };
-
   /// One policy action, with the signals the policy saw.
   struct Decision {
     /// Timestamp of the sample that triggered it.
@@ -94,7 +79,7 @@ class ControlLoop {
     uint64_t next = 0;
     /// The operator took the request.
     bool accepted = false;
-    Signals signals;
+    ControlSignals signals;
   };
 
   /// Observes `registry` (not owned; must outlive the loop), default
@@ -188,7 +173,7 @@ class ControlLoop {
 
   size_t Attach(Operator& op, std::vector<int> joiner_tasks);
   TelemetrySample Sample(uint64_t t_us);
-  void Step(size_t index, uint64_t t_us, const Signals& signals);
+  void Step(size_t index, uint64_t t_us, const ControlSignals& signals);
   void Loop();
 
   const MetricsRegistry* registry_;

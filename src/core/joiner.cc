@@ -23,10 +23,13 @@ JoinerCore::JoinerCore(JoinerConfig config)
   // Seed the telemetry cell before the first dispatch so samplers see the
   // correct participation flag for slots that have not received a message
   // yet (dormant expansion slots in particular).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
-                                     participating(), shed_rate_ppm_);
-  }
+  Publish();
+}
+
+void JoinerCore::Publish() {
+  if (config_.telemetry == nullptr) return;
+  config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
+                                   participating(), shed_rate_ppm_);
 }
 
 void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
@@ -43,13 +46,13 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
       HandleMigrate(msg, ctx);
       break;
     case MsgType::kMigEnd:
-      HandleMigEnd(msg, ctx);
+      HandleMigEnd(ctx);
       break;
     case MsgType::kReshufSignal:
       HandleSignal(msg, ctx);
       break;
     case MsgType::kEos:
-      HandleEos(msg, ctx);
+      HandleEos(ctx);
       break;
     case MsgType::kShed:
       HandleShed(msg, ctx);
@@ -61,10 +64,7 @@ void JoinerCore::OnMessage(Envelope msg, Context& ctx) {
   if (!egress_.empty()) FlushEgress(ctx);
   // Publish live telemetry once per dispatch: counters stay plain stores
   // above; the cell write is the only synchronized step.
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
-                                     participating(), shed_rate_ppm_);
-  }
+  Publish();
 }
 
 void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
@@ -120,10 +120,7 @@ void JoinerCore::OnBatch(TupleBatch batch, Context& ctx) {
   if (!egress_.empty()) FlushEgress(ctx);
   // One telemetry publish per batch (the per-envelope paths publish per
   // envelope through OnMessage).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishJoiner(metrics_, epoch_, migrating_,
-                                     participating(), shed_rate_ppm_);
-  }
+  Publish();
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +243,6 @@ void JoinerCore::ProbeGroup(const Envelope* begin, const Envelope* end,
 
 void JoinerCore::Emit(const Envelope& msg, const StoredEntry& matched,
                       const Row* matched_row, Context& ctx) {
-  ++output_count_;
   metrics_.output_tuples++;
   if (config_.collect_pairs) {
     if (msg.rel == Rel::kR) {
@@ -429,7 +425,7 @@ void JoinerCore::HandleMigrate(Envelope& msg, Context& ctx) {
   Store(msg, kOriginMig, msg.epoch);
 }
 
-void JoinerCore::HandleMigEnd(Envelope& msg, Context& ctx) {
+void JoinerCore::HandleMigEnd(Context& ctx) {
   if (plan_ == nullptr) {
     ++early_migend_;
     return;
@@ -637,7 +633,7 @@ void JoinerCore::FinalizeMigration(Context& ctx) {
   MaybeForwardEos(ctx);
 }
 
-void JoinerCore::HandleEos(Envelope& msg, Context& ctx) {
+void JoinerCore::HandleEos(Context& ctx) {
   ++eos_seen_;
   MaybeForwardEos(ctx);
 }

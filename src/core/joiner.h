@@ -108,8 +108,7 @@ class JoinerCore : public Task {
   void set_result_sink(int sink) { config_.result_sink = sink; }
 
   const JoinerMetrics& metrics() const { return metrics_; }
-  JoinerMetrics& mutable_metrics() { return metrics_; }
-  uint64_t output_count() const { return output_count_; }
+  uint64_t output_count() const { return metrics_.output_tuples; }
   const std::vector<std::pair<uint64_t, uint64_t>>& pairs() const {
     return pairs_;
   }
@@ -180,9 +179,9 @@ class JoinerCore : public Task {
   // Δ/Δ' tuples of an active migration (steady data takes OnBatch).
   void HandleData(Envelope& msg, Context& ctx);
   void HandleMigrate(Envelope& msg, Context& ctx);
-  void HandleMigEnd(Envelope& msg, Context& ctx);
+  void HandleMigEnd(Context& ctx);
   void HandleSignal(Envelope& msg, Context& ctx);
-  void HandleEos(Envelope& msg, Context& ctx);
+  void HandleEos(Context& ctx);
   /// Forwards one kEos to the result sink once this slot is finished, so a
   /// downstream stage's expected-EOS gate can detect upstream drainage.
   void MaybeForwardEos(Context& ctx);
@@ -190,6 +189,9 @@ class JoinerCore : public Task {
   // Bernoulli probe admission under shedding (always true when exact);
   // a skipped probe bumps metrics_.shed_probes_skipped.
   bool AdmitProbe();
+  // Publishes metrics_ plus the protocol state into the telemetry cell
+  // (no-op without one).
+  void Publish();
 
   void StartMigration(const EpochSpec& spec, Context& ctx);
   void SendOldStateForMigration(Context& ctx);
@@ -279,7 +281,6 @@ class JoinerCore : public Task {
 
   uint32_t eos_seen_ = 0;
   bool eos_forwarded_ = false;  // downstream kEos sent (once per slot)
-  uint64_t output_count_ = 0;
   TupleBatch egress_;                // staged kResult run (one dispatch)
   // ProbeGroup/StoreGroup scratch: the admitted tuples of the group being
   // probed, and the keys being probed or stored.

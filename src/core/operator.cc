@@ -137,8 +137,6 @@ JoinOperator::JoinOperator(Engine& engine, OperatorConfig config)
     rc.is_controller = (r == 0);
     rc.controller = ctrl;
     rc.controller_groups = cinfos;
-    rc.collect_stats = config_.collect_stats;
-    rc.stats_options = config_.stats_options;
     rc.trace = config_.trace;
     if (config_.registry != nullptr) {
       rc.telemetry = config_.registry->Register(

@@ -52,9 +52,6 @@ struct OperatorConfig {
   /// Result collection for correctness tests.
   bool collect_pairs = false;
   bool keep_rows = true;
-  /// Extended per-reshuffler statistics (heavy hitters / histograms).
-  bool collect_stats = false;
-  StreamStats::Options stats_options;
   /// Live telemetry (src/runtime/metrics_registry.h): when set, every
   /// reshuffler and joiner task registers a snapshot cell and publishes its
   /// metrics after each dispatch, observable mid-stream from any thread.

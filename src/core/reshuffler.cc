@@ -26,11 +26,6 @@ ReshufflerCore::ReshufflerCore(ReshufflerConfig config)
         config_.controller, config_.num_reshufflers,
         config_.controller_groups);
   }
-  if (config_.collect_stats) {
-    StreamStats::Options options = config_.stats_options;
-    options.scale = config_.num_reshufflers;
-    stats_ = std::make_unique<StreamStats>(options);
-  }
 }
 
 void ReshufflerCore::AcceptResults(Rel rel, int key_col) {
@@ -54,7 +49,7 @@ void ReshufflerCore::RestampResult(Envelope& msg) {
   }
   msg.seq = kResultSeqBase + config_.index +
             static_cast<uint64_t>(config_.num_reshufflers) *
-                results_restamped_++;
+                metrics_.results_restamped++;
   msg.epoch = 0;
   msg.store = true;
 }
@@ -154,9 +149,7 @@ void ReshufflerCore::OnMessage(Envelope msg, Context& ctx) {
       AJOIN_CHECK_MSG(false, "reshuffler: unexpected message type");
   }
   // Publish live telemetry once per dispatch (counters above stay plain).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
-  }
+  Publish();
 }
 
 void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
@@ -183,9 +176,12 @@ void ReshufflerCore::OnBatch(TupleBatch batch, Context& ctx) {
   HandleInputBatch(batch, ctx);
   // One telemetry publish per batch (control singletons publish through
   // OnMessage).
-  if (config_.telemetry != nullptr) {
-    config_.telemetry->PublishReshuffler(metrics_, results_restamped_);
-  }
+  Publish();
+}
+
+void ReshufflerCore::Publish() {
+  if (config_.telemetry == nullptr) return;
+  config_.telemetry->Publish(metrics_);
 }
 
 void ReshufflerCore::RebuildRouteCache(GroupRoute& g) {
@@ -200,7 +196,6 @@ void ReshufflerCore::HandleInputBatch(TupleBatch& batch, Context& ctx) {
   for (Envelope& msg : batch.items) {
     const uint64_t tag = TagForSeq(msg.seq, msg.rel);
     metrics_.routed_tuples++;
-    if (stats_ != nullptr) stats_->Observe(msg.rel, msg.key, msg.bytes);
     // Controller duty first, per tuple (Alg. 1 line 6): decisions only take
     // effect when the kEpochChange loops back through this reshuffler's own
     // inbox — after this batch — so the mapping is constant batch-wide and

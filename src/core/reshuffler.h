@@ -17,7 +17,6 @@
 
 #include "src/core/controller.h"
 #include "src/core/partition.h"
-#include "src/core/stats.h"
 #include "src/net/message.h"
 #include "src/runtime/metrics.h"
 #include "src/runtime/task.h"
@@ -56,11 +55,6 @@ struct ReshufflerConfig {
   bool is_controller = false;
   ControllerConfig controller;
   std::vector<ControllerCore::GroupInfo> controller_groups;
-  /// Optional extended statistics (section 4.1: heavy-hitter sketches and
-  /// key histograms on the reshuffler's 1/J sample, scaled to global
-  /// estimates).
-  bool collect_stats = false;
-  StreamStats::Options stats_options;
   /// Live telemetry cell (src/runtime/metrics_registry.h): when set, the
   /// reshuffler publishes its metrics after every dispatch. Not owned; must
   /// outlive the task.
@@ -110,8 +104,6 @@ class ReshufflerCore : public Task {
   const ReshufflerMetrics& metrics() const { return metrics_; }
   /// Controller introspection (reshuffler 0 only).
   const ControllerCore* controller() const { return controller_.get(); }
-  /// Extended statistics (null unless collect_stats).
-  const StreamStats* stats() const { return stats_.get(); }
   const GridLayout& layout(uint32_t group) const {
     return groups_[group].layout;
   }
@@ -139,20 +131,20 @@ class ReshufflerCore : public Task {
   void Broadcast(const std::vector<EpochSpec>& specs, Context& ctx);
   uint32_t StorageGroupOf(uint64_t tag) const;
   static void RebuildRouteCache(GroupRoute& g);
+  // Publishes metrics_ into the telemetry cell (no-op without one).
+  void Publish();
 
   ReshufflerConfig config_;
   std::vector<GroupRoute> groups_;
   std::unique_ptr<ControllerCore> controller_;
-  std::unique_ptr<StreamStats> stats_;
   ReshufflerMetrics metrics_;
 
   // Result-ingress state (AcceptResults): restamped seqs are
-  // kResultSeqBase + index + num_reshufflers * counter — a private band per
-  // reshuffler, disjoint from driver-stamped seqs.
+  // kResultSeqBase + index + num_reshufflers * metrics_.results_restamped
+  // — a private band per reshuffler, disjoint from driver-stamped seqs.
   bool accept_results_ = false;
   Rel result_rel_ = Rel::kR;
   int result_key_col_ = -1;
-  uint64_t results_restamped_ = 0;
 
   // EOS gating: forward one kEos per allocated joiner only after every
   // expected marker (driver + wired cascade feeders) has arrived.

@@ -8,18 +8,20 @@
 //
 // ShedPolicy is the decision logic, like AutoscalePolicy
 // (src/core/autoscale.h): a pure, deterministic state machine, testable
-// without an engine — feed it one ShedSample per tick, get back the
-// admission rate (ppm) the operator should run at. Hysteresis
-// (consecutive-tick streaks), cooldown after a rate change, and
+// without an engine — feed it one ControlSignals record
+// (src/core/signals.h) per tick, get back the admission rate (ppm) the
+// operator should run at. It reads the stall ratio and the backlog.
+// Hysteresis (consecutive-tick streaks), cooldown after a rate change, and
 // multiplicative backoff/recovery all live here. ControlLoop
-// (src/core/control_loop.h) builds the samples from telemetry snapshots and
-// the ingress-backlog gauge, steps the policy, and calls
+// (src/core/control_loop.h) derives the signals from telemetry snapshots
+// and the ingress-backlog gauge, steps the policy, and calls
 // Operator::SetShedRate on every rate change.
 
 #pragma once
 
 #include <cstdint>
 
+#include "src/core/signals.h"
 #include "src/net/message.h"
 
 namespace ajoin {
@@ -50,21 +52,8 @@ struct ShedConfig {
   uint32_t shed_factor = 2;
 };
 
-/// One observation of the operator, as the policy sees it.
-struct ShedSample {
-  uint64_t t_us = 0;
-  /// Fraction of the tick the exchange plane spent credit-stalled.
-  double stall_ratio = 0;
-  /// Instantaneous ingress backlog gauge (envelopes posted, not consumed).
-  uint64_t backlog = 0;
-  /// Input tuples/sec over the tick (joiner in_tuples delta).
-  double input_rate = 0;
-  /// Joiners currently inside the live grid (telemetry `active` flag).
-  uint32_t live_joiners = 0;
-};
-
 /// Deterministic admission-rate state machine (no engine, no clock, no
-/// threads — drive it with synthetic samples in unit tests).
+/// threads — drive it with synthetic signals in unit tests).
 class ShedPolicy {
  public:
   explicit ShedPolicy(ShedConfig config) : config_(config) {
@@ -81,7 +70,7 @@ class ShedPolicy {
   /// both exit thresholds while shedding) symmetrically multiplies the rate
   /// back after recover_ticks; a neutral tick resets both streaks. Every
   /// rate change arms the cooldown.
-  uint32_t OnSample(const ShedSample& s) {
+  uint32_t OnSample(const ControlSignals& s) {
     if (cooldown_ > 0) {
       --cooldown_;
       overload_streak_ = recover_streak_ = 0;

@@ -3,11 +3,13 @@
 // (src/core/control_loop.h), which samples the registry into a time series
 // and feeds the scale/shed policies:
 //
-//  * SeqlockCell / TaskTelemetry — a per-task snapshot cell. The owning task
-//    keeps bumping its plain JoinerMetrics/ReshufflerMetrics counters as
-//    before (no atomics on the hot path) and periodically *publishes* them
-//    into the cell; any thread can then read a consistent, torn-read-free
-//    copy mid-stream. No lock anywhere, no quiescent drain.
+//  * SeqlockCell / TaskTelemetry — a per-task snapshot cell holding one
+//    record of the task's kind (src/runtime/metrics.h). The owning task
+//    bumps its record with plain stores (no atomics on the hot path) and,
+//    once per dispatch, publishes it whole into the cell (Publish<T>: one
+//    memcpy into the cell's words); any thread can then read a consistent,
+//    torn-read-free copy mid-stream (Read<T>). No lock anywhere, no
+//    quiescent drain.
 //  * MetricsRegistry — the directory of every task's cell. Operators
 //    register their tasks at construction; snapshotting walks the directory
 //    and reads each cell.
@@ -23,8 +25,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "src/check/sched.h"
@@ -68,9 +72,9 @@ class SeqlockCell {
   mc::Atomic<uint64_t> words_[N] = {};
 };
 
-/// What kind of task a registry entry describes. Agg routers reuse the
-/// reshuffler counter set (they are routing tasks); agg workers get their
-/// own accumulator-table layout.
+/// What kind of task a registry entry describes, and so which record its
+/// cell holds: JoinerSnapshot for joiners, ReshufflerMetrics for the routing
+/// tasks (reshufflers and agg routers), AggSnapshot for agg workers.
 enum class TaskKind { kJoiner, kReshuffler, kAgg };
 
 /// Human-readable name of a task kind ("joiner" / "reshuffler" / "agg").
@@ -83,197 +87,68 @@ inline const char* TaskKindName(TaskKind kind) {
   return "?";
 }
 
-/// Consistent copy of one joiner's counters plus its protocol state.
-struct JoinerSnapshot {
-  uint64_t in_tuples = 0;
-  uint64_t in_bytes = 0;
-  uint64_t probe_candidates = 0;
-  uint64_t output_tuples = 0;
-  uint64_t mig_out_tuples = 0;
-  uint64_t mig_out_bytes = 0;
-  uint64_t mig_in_tuples = 0;
-  uint64_t mig_in_bytes = 0;
-  uint64_t discarded_tuples = 0;
-  uint64_t migrations_finalized = 0;
-  uint64_t stored_tuples = 0;
-  uint64_t stored_bytes = 0;
-  uint64_t peak_stored_bytes = 0;
-  uint64_t shed_probes_skipped = 0;  // probes skipped by load shedding
-  uint32_t shed_rate_ppm = 1000000;  // admitted probe fraction (ppm; 1e6 =
-                                     // exact, anything lower = shedding)
-  uint32_t epoch = 0;            // partitioning epoch the joiner is in
-  bool migrating = false;        // mid-migration right now?
-  bool active = false;           // inside the group's live grid (elastic
-                                 // scaling tombstones retirees in place)
-};
-
-/// Consistent copy of one reshuffler's counters.
-struct ReshufflerSnapshot {
-  uint64_t routed_tuples = 0;
-  uint64_t sent_msgs = 0;
-  uint64_t sent_bytes = 0;
-  uint64_t epoch_changes = 0;
-  uint64_t results_restamped = 0;
-};
-
-/// Consistent copy of one agg worker's accumulator-table counters plus its
-/// protocol state (kAgg entries).
-struct AggSnapshot {
-  uint64_t in_tuples = 0;     // data tuples merged (excludes migrated cells)
-  uint64_t in_bytes = 0;      // accounted bytes of those tuples
-  uint64_t groups = 0;        // distinct group keys resident right now
-  uint64_t table_bytes = 0;   // accumulator-table footprint (MemoryBytes)
-  uint64_t mig_out_cells = 0;  // accumulator cells shipped to other workers
-  uint64_t mig_in_cells = 0;   // accumulator cells absorbed from others
-  uint64_t migrations_finalized = 0;
-  uint64_t emitted_results = 0;  // kResult aggregates emitted downstream
-  uint32_t epoch = 0;         // assignment epoch the worker is in
-  bool migrating = false;     // mid-repartition right now?
-  bool flushed = false;       // final aggregates emitted (stage drained)
-};
-
-/// One task's entry in a registry snapshot. Exactly one of joiner /
-/// reshuffler is meaningful, selected by `kind`.
+/// One task's entry in a registry snapshot: the record of its kind, selected
+/// by `kind` (the other two stay default-constructed).
 struct TaskSnapshot {
   int task = -1;
   TaskKind kind = TaskKind::kJoiner;
   JoinerSnapshot joiner;
-  ReshufflerSnapshot reshuffler;
+  ReshufflerMetrics reshuffler;
   AggSnapshot agg;
 };
 
-/// Per-task snapshot cell. The owning task publishes after processing a
+/// Per-task snapshot cell holding one record of the task's kind
+/// (src/runtime/metrics.h). The owning task publishes after processing a
 /// message/batch; any thread reads via the registry.
 class TaskTelemetry {
  public:
-  /// Payload width in words (shared by both task kinds; the wider joiner
-  /// layout sets the size).
-  static constexpr size_t kWords = 18;
+  /// Payload width in words: the widest record, the joiner's (Publish and
+  /// Read check at compile time that a record fits).
+  static constexpr size_t kWords = sizeof(JoinerSnapshot) / sizeof(uint64_t);
 
-  /// Publishes a joiner's counters plus epoch / migration / participation /
-  /// shedding state. `active` is whether the joiner is inside its group's
-  /// live grid — elastic scaling flips it at activation/retirement so
-  /// exports can tombstone retired slots instead of dropping their counters.
-  /// `shed_rate_ppm` is the admitted probe fraction in parts-per-million
-  /// (1e6 = exact probing). Call from the owning task's thread only.
+  /// Publishes `record` whole: one seqlock publish of its bytes. Call from
+  /// the owning task's thread only; wait-free.
+  template <typename T>
+  void Publish(const T& record) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      sizeof(T) <= sizeof(uint64_t) * kWords,
+                  "a telemetry record is copied as bytes into the cell");
+    uint64_t w[kWords] = {};
+    std::memcpy(w, &record, sizeof(T));
+    cell_.Publish(w);
+  }
+
+  /// Reads a consistent copy of the last published record. `T` must be the
+  /// type the owner publishes (the registry picks it by TaskKind). Callable
+  /// from any thread; lock-free.
+  template <typename T>
+  T Read() const {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                      sizeof(T) <= sizeof(uint64_t) * kWords,
+                  "a telemetry record is copied as bytes into the cell");
+    uint64_t w[kWords];
+    cell_.Read(w);
+    T record;
+    std::memcpy(&record, w, sizeof(T));
+    return record;
+  }
+
+  /// Publishes a joiner record built from its counters plus epoch /
+  /// migration / participation / shedding state. `active` is whether the
+  /// joiner is inside its group's live grid — elastic scaling flips it at
+  /// activation/retirement so exports can tombstone retired slots instead
+  /// of dropping their counters. `shed_rate_ppm` is the admitted probe
+  /// fraction in parts-per-million (kShedExactPpm = exact probing). Call
+  /// from the owning task's thread only.
   void PublishJoiner(const JoinerMetrics& m, uint32_t epoch, bool migrating,
-                     bool active, uint32_t shed_rate_ppm = 1000000) {
-    uint64_t w[kWords];
-    w[0] = m.in_tuples;
-    w[1] = m.in_bytes;
-    w[2] = m.probe_candidates;
-    w[3] = m.output_tuples;
-    w[4] = m.mig_out_tuples;
-    w[5] = m.mig_out_bytes;
-    w[6] = m.mig_in_tuples;
-    w[7] = m.mig_in_bytes;
-    w[8] = m.discarded_tuples;
-    w[9] = m.migrations_finalized;
-    w[10] = m.stored_tuples;
-    w[11] = m.stored_bytes;
-    w[12] = m.peak_stored_bytes;
-    w[13] = epoch;
-    w[14] = migrating ? 1 : 0;
-    w[15] = active ? 1 : 0;
-    w[16] = m.shed_probes_skipped;
-    w[17] = shed_rate_ppm;
-    cell_.Publish(w);
-  }
-
-  /// Publishes a reshuffler's counters. Call from the owning task's thread
-  /// only.
-  void PublishReshuffler(const ReshufflerMetrics& m,
-                         uint64_t results_restamped) {
-    uint64_t w[kWords] = {};
-    w[0] = m.routed_tuples;
-    w[1] = m.sent_msgs;
-    w[2] = m.sent_bytes;
-    w[3] = m.epoch_changes;
-    w[4] = results_restamped;
-    cell_.Publish(w);
-  }
-
-  /// Decodes the cell as a joiner snapshot (meaningful only for kJoiner
-  /// entries). Callable from any thread.
-  JoinerSnapshot ReadJoiner() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
+                     bool active, uint32_t shed_rate_ppm = kShedExactPpm) {
     JoinerSnapshot s;
-    s.in_tuples = w[0];
-    s.in_bytes = w[1];
-    s.probe_candidates = w[2];
-    s.output_tuples = w[3];
-    s.mig_out_tuples = w[4];
-    s.mig_out_bytes = w[5];
-    s.mig_in_tuples = w[6];
-    s.mig_in_bytes = w[7];
-    s.discarded_tuples = w[8];
-    s.migrations_finalized = w[9];
-    s.stored_tuples = w[10];
-    s.stored_bytes = w[11];
-    s.peak_stored_bytes = w[12];
-    s.epoch = static_cast<uint32_t>(w[13]);
-    s.migrating = w[14] != 0;
-    s.active = w[15] != 0;
-    s.shed_probes_skipped = w[16];
-    // A never-published cell reads all-zero words; rate 0 is unreachable
-    // (admission probabilities are clamped positive so HT weights stay
-    // finite), so decode it as "exact" instead of "shedding everything".
-    s.shed_rate_ppm =
-        w[17] == 0 ? 1000000u : static_cast<uint32_t>(w[17]);
-    return s;
-  }
-
-  /// Publishes an agg worker's accumulator counters plus epoch / migration /
-  /// flush state. Call from the owning task's thread only.
-  void PublishAgg(const AggSnapshot& s) {
-    uint64_t w[kWords] = {};
-    w[0] = s.in_tuples;
-    w[1] = s.in_bytes;
-    w[2] = s.groups;
-    w[3] = s.table_bytes;
-    w[4] = s.mig_out_cells;
-    w[5] = s.mig_in_cells;
-    w[6] = s.migrations_finalized;
-    w[7] = s.emitted_results;
-    w[8] = s.epoch;
-    w[9] = s.migrating ? 1 : 0;
-    w[10] = s.flushed ? 1 : 0;
-    cell_.Publish(w);
-  }
-
-  /// Decodes the cell as an agg worker snapshot (meaningful only for kAgg
-  /// entries). Callable from any thread.
-  AggSnapshot ReadAgg() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
-    AggSnapshot s;
-    s.in_tuples = w[0];
-    s.in_bytes = w[1];
-    s.groups = w[2];
-    s.table_bytes = w[3];
-    s.mig_out_cells = w[4];
-    s.mig_in_cells = w[5];
-    s.migrations_finalized = w[6];
-    s.emitted_results = w[7];
-    s.epoch = static_cast<uint32_t>(w[8]);
-    s.migrating = w[9] != 0;
-    s.flushed = w[10] != 0;
-    return s;
-  }
-
-  /// Decodes the cell as a reshuffler snapshot (meaningful only for
-  /// kReshuffler entries). Callable from any thread.
-  ReshufflerSnapshot ReadReshuffler() const {
-    uint64_t w[kWords];
-    cell_.Read(w);
-    ReshufflerSnapshot s;
-    s.routed_tuples = w[0];
-    s.sent_msgs = w[1];
-    s.sent_bytes = w[2];
-    s.epoch_changes = w[3];
-    s.results_restamped = w[4];
-    return s;
+    static_cast<JoinerMetrics&>(s) = m;
+    s.shed_rate_ppm = shed_rate_ppm;
+    s.epoch = epoch;
+    s.migrating = migrating;
+    s.active = active;
+    Publish(s);
   }
 
  private:
@@ -287,10 +162,16 @@ class MetricsRegistry {
   /// Registers a task and returns its cell (stable address for the
   /// registry's lifetime; the task keeps the pointer and publishes into it).
   /// Thread-safe; typically called from operator constructors.
+  /// A joiner cell is seeded with a default JoinerSnapshot (exact probing,
+  /// inactive) before Register returns, so it reads sensibly before the
+  /// joiner's first publish; the other kinds' default records are
+  /// all-zero, as a fresh cell is.
   TaskTelemetry* Register(int task_id, TaskKind kind) {
     std::lock_guard<std::mutex> lock(mu_);
     slots_.emplace_back(task_id, kind);
-    return &slots_.back().cell;
+    TaskTelemetry* cell = &slots_.back().cell;
+    if (kind == TaskKind::kJoiner) cell->Publish(JoinerSnapshot{});
+    return cell;
   }
 
   /// Reads every registered task's cell into a consistent-per-task snapshot
@@ -305,11 +186,11 @@ class MetricsRegistry {
       snap.task = slot.task;
       snap.kind = slot.kind;
       if (slot.kind == TaskKind::kJoiner) {
-        snap.joiner = slot.cell.ReadJoiner();
+        snap.joiner = slot.cell.Read<JoinerSnapshot>();
       } else if (slot.kind == TaskKind::kAgg) {
-        snap.agg = slot.cell.ReadAgg();
+        snap.agg = slot.cell.Read<AggSnapshot>();
       } else {
-        snap.reshuffler = slot.cell.ReadReshuffler();
+        snap.reshuffler = slot.cell.Read<ReshufflerMetrics>();
       }
       out.push_back(snap);
     }

@@ -110,9 +110,9 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 
 // ---- AutoscalePolicy: synthetic-trace decision sequences --------------------
 
-AutoscaleSample Sample(uint32_t live, double rate, double stall,
-                       bool migrating = false) {
-  AutoscaleSample s;
+ControlSignals Sample(uint32_t live, double rate, double stall,
+                      bool migrating = false) {
+  ControlSignals s;
   s.live_joiners = live;
   s.input_rate = rate;
   s.stall_ratio = stall;

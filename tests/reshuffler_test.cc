@@ -138,21 +138,6 @@ TEST(Reshuffler, EosForwardedToAllJoiners) {
   for (auto& [to, env] : ctx.sent) EXPECT_EQ(env.type, MsgType::kEos);
 }
 
-TEST(Reshuffler, ExtendedStatsObserveRoutedTuples) {
-  ReshufflerConfig cfg = SingleGroupConfig(Mapping{2, 2});
-  cfg.collect_stats = true;
-  cfg.stats_options.sketch_capacity = 8;
-  ReshufflerCore reshuffler(cfg);
-  CaptureContext ctx(0);
-  for (uint64_t i = 0; i < 100; ++i) {
-    reshuffler.OnMessage(Input(Rel::kS, 7, i), ctx);
-  }
-  ASSERT_NE(reshuffler.stats(), nullptr);
-  // Scale = 4 reshufflers: 100 local tuples estimate 400 global.
-  EXPECT_EQ(reshuffler.stats()->EstimatedTuples(Rel::kS), 400u);
-  EXPECT_EQ(reshuffler.stats()->sketch(Rel::kS).Estimate(7), 100u);
-}
-
 TEST(Reshuffler, MultiGroupStoreInExactlyOneGroup) {
   // Two groups (J=4 and J=2): each tuple stores in exactly one group and
   // probes the other.

@@ -70,8 +70,8 @@ bool PollUntil(const std::function<bool()>& pred, int timeout_ms) {
 
 // ---- ShedPolicy: synthetic-sample rate sequences ----------------------------
 
-ShedSample Stall(double ratio, uint64_t backlog = 0) {
-  ShedSample s;
+ControlSignals Stall(double ratio, uint64_t backlog = 0) {
+  ControlSignals s;
   s.stall_ratio = ratio;
   s.backlog = backlog;
   return s;

@@ -94,6 +94,135 @@ TEST(MetricsSeqlock, NoTornReadsUnderContention) {
   }
 }
 
+// ---- Typed records ----------------------------------------------------------
+
+// Distinct, non-default values per field: a record copied into the wrong
+// words, truncated, or decoded as another kind reads a different value.
+constexpr uint64_t Distinct(uint64_t field) {
+  return (field << 40) | (0xA5 << 8) | field;
+}
+
+TEST(MetricsRegistry, JoinerRecordRoundTripsFieldForField) {
+  MetricsRegistry registry;
+  registry.Register(3, TaskKind::kReshuffler);  // neighbours of another kind
+  TaskTelemetry* cell = registry.Register(4, TaskKind::kJoiner);
+  registry.Register(5, TaskKind::kAgg);
+  JoinerMetrics m;
+  m.in_tuples = Distinct(1);
+  m.in_bytes = Distinct(2);
+  m.probe_candidates = Distinct(3);
+  m.output_tuples = Distinct(4);
+  m.mig_out_tuples = Distinct(5);
+  m.mig_out_bytes = Distinct(6);
+  m.mig_in_tuples = Distinct(7);
+  m.mig_in_bytes = Distinct(8);
+  m.discarded_tuples = Distinct(9);
+  m.migrations_finalized = Distinct(10);
+  m.shed_probes_skipped = Distinct(11);
+  m.stored_tuples = Distinct(12);
+  m.stored_bytes = Distinct(13);
+  m.peak_stored_bytes = Distinct(14);
+  cell->PublishJoiner(m, /*epoch=*/0xE90C15u, /*migrating=*/true,
+                      /*active=*/true, /*shed_rate_ppm=*/123457u);
+  const std::vector<TaskSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 3u);
+  ASSERT_EQ(snap[1].task, 4);
+  ASSERT_EQ(snap[1].kind, TaskKind::kJoiner);
+  const JoinerSnapshot& j = snap[1].joiner;
+  EXPECT_EQ(j.in_tuples, Distinct(1));
+  EXPECT_EQ(j.in_bytes, Distinct(2));
+  EXPECT_EQ(j.probe_candidates, Distinct(3));
+  EXPECT_EQ(j.output_tuples, Distinct(4));
+  EXPECT_EQ(j.mig_out_tuples, Distinct(5));
+  EXPECT_EQ(j.mig_out_bytes, Distinct(6));
+  EXPECT_EQ(j.mig_in_tuples, Distinct(7));
+  EXPECT_EQ(j.mig_in_bytes, Distinct(8));
+  EXPECT_EQ(j.discarded_tuples, Distinct(9));
+  EXPECT_EQ(j.migrations_finalized, Distinct(10));
+  EXPECT_EQ(j.shed_probes_skipped, Distinct(11));
+  EXPECT_EQ(j.stored_tuples, Distinct(12));
+  EXPECT_EQ(j.stored_bytes, Distinct(13));
+  EXPECT_EQ(j.peak_stored_bytes, Distinct(14));
+  EXPECT_EQ(j.shed_rate_ppm, 123457u);
+  EXPECT_EQ(j.epoch, 0xE90C15u);
+  EXPECT_TRUE(j.migrating);
+  EXPECT_TRUE(j.active);
+}
+
+TEST(MetricsRegistry, ReshufflerRecordRoundTripsFieldForField) {
+  MetricsRegistry registry;
+  registry.Register(0, TaskKind::kJoiner);
+  TaskTelemetry* cell = registry.Register(1, TaskKind::kReshuffler);
+  ReshufflerMetrics m;
+  m.routed_tuples = Distinct(1);
+  m.sent_msgs = Distinct(2);
+  m.sent_bytes = Distinct(3);
+  m.epoch_changes = Distinct(4);
+  m.results_restamped = Distinct(5);
+  cell->Publish(m);
+  const std::vector<TaskSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  ASSERT_EQ(snap[1].task, 1);
+  ASSERT_EQ(snap[1].kind, TaskKind::kReshuffler);
+  const ReshufflerMetrics& r = snap[1].reshuffler;
+  EXPECT_EQ(r.routed_tuples, Distinct(1));
+  EXPECT_EQ(r.sent_msgs, Distinct(2));
+  EXPECT_EQ(r.sent_bytes, Distinct(3));
+  EXPECT_EQ(r.epoch_changes, Distinct(4));
+  EXPECT_EQ(r.results_restamped, Distinct(5));
+}
+
+TEST(MetricsRegistry, AggRecordRoundTripsFieldForField) {
+  MetricsRegistry registry;
+  registry.Register(0, TaskKind::kJoiner);
+  TaskTelemetry* cell = registry.Register(1, TaskKind::kAgg);
+  AggSnapshot a;
+  a.in_tuples = Distinct(1);
+  a.in_bytes = Distinct(2);
+  a.groups = Distinct(3);
+  a.table_bytes = Distinct(4);
+  a.mig_out_cells = Distinct(5);
+  a.mig_in_cells = Distinct(6);
+  a.migrations_finalized = Distinct(7);
+  a.emitted_results = Distinct(8);
+  a.epoch = 0xA6613u;
+  a.migrating = true;
+  a.flushed = true;
+  cell->Publish(a);
+  const std::vector<TaskSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  ASSERT_EQ(snap[1].task, 1);
+  ASSERT_EQ(snap[1].kind, TaskKind::kAgg);
+  const AggSnapshot& g = snap[1].agg;
+  EXPECT_EQ(g.in_tuples, Distinct(1));
+  EXPECT_EQ(g.in_bytes, Distinct(2));
+  EXPECT_EQ(g.groups, Distinct(3));
+  EXPECT_EQ(g.table_bytes, Distinct(4));
+  EXPECT_EQ(g.mig_out_cells, Distinct(5));
+  EXPECT_EQ(g.mig_in_cells, Distinct(6));
+  EXPECT_EQ(g.migrations_finalized, Distinct(7));
+  EXPECT_EQ(g.emitted_results, Distinct(8));
+  EXPECT_EQ(g.epoch, 0xA6613u);
+  EXPECT_TRUE(g.migrating);
+  EXPECT_TRUE(g.flushed);
+}
+
+TEST(MetricsRegistry, UnpublishedJoinerCellReadsExactAndInactive) {
+  // Registration alone, no publish: the cell holds the record's defaults,
+  // so a sampler sees exact probing on a tombstoned slot, not rate 0.
+  MetricsRegistry registry;
+  registry.Register(0, TaskKind::kJoiner);
+  const std::vector<TaskSnapshot> snap = registry.Snapshot();
+  ASSERT_EQ(snap.size(), 1u);
+  const JoinerSnapshot& j = snap[0].joiner;
+  EXPECT_EQ(j.shed_rate_ppm, static_cast<uint32_t>(kShedExactPpm));
+  EXPECT_FALSE(j.active);
+  EXPECT_FALSE(j.migrating);
+  EXPECT_EQ(j.epoch, 0u);
+  EXPECT_EQ(j.in_tuples, 0u);
+  EXPECT_EQ(j.stored_tuples, 0u);
+}
+
 // ---- Trace ring -------------------------------------------------------------
 
 TEST(MetricsTraceRing, MultiProducerNoLostOrTornEvents) {

@@ -19,8 +19,9 @@
    contract, migration-aware cell moves, EOS flush barrier),
    FlatHashIndex in src/index/flat_index.h and JoinIndex in
    src/localjoin/join_index.h (probe-order guarantees, Reserve semantics,
-   ProbeRun pipeline contract), MetricsRegistry in
-   src/runtime/metrics_registry.h, ControlLoop in src/core/control_loop.h
+   ProbeRun pipeline contract), TaskTelemetry and MetricsRegistry in
+   src/runtime/metrics_registry.h (typed Publish/Read of a task's record),
+   ControlLoop in src/core/control_loop.h
    and TraceRing in src/common/trace_ring.h (threading rules of the
    observability plane and the control loop: who may publish, who may
    read, what is lock-free, when policies step). An undocumented method is
@@ -101,7 +102,7 @@ API_SURFACES = (
     ("src/index/agg_table.h", ("AggTable",)),
     ("src/index/flat_index.h", ("FlatHashIndex",)),
     ("src/localjoin/join_index.h", ("JoinIndex",)),
-    ("src/runtime/metrics_registry.h", ("MetricsRegistry",)),
+    ("src/runtime/metrics_registry.h", ("TaskTelemetry", "MetricsRegistry")),
     ("src/core/control_loop.h", ("ControlLoop",)),
     ("src/common/trace_ring.h", ("TraceRing",)),
     ("src/check/model.h", ("ModelAtomic",)),
